@@ -1,8 +1,7 @@
 """Performance layer — vectorized sweep and cache speedups.
 
 Not a paper artefact: this benchmark records the wall-clock wins of
-the ``repro.perf`` layer (the numbers summarized in ``BENCH_perf.json``)
-so regressions show up next to the reproduction tables.
+the ``repro.perf`` layer next to the reproduction tables.
 """
 
 import time

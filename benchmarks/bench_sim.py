@@ -3,9 +3,8 @@
 Not a paper artefact: this benchmark records what the event-driven
 timing backend costs relative to the analytic closed form, and what
 the NumPy lockstep engine buys over the scalar reference — the
-numbers behind the ``sim`` section of ``BENCH_perf.json`` and the
-guidance in ``docs/simulation.md`` (characterize analytically, audit
-decisions with the simulator).
+numbers behind the guidance in ``docs/simulation.md`` (characterize
+analytically, audit decisions with the simulator).
 """
 
 import time

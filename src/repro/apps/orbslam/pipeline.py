@@ -19,76 +19,29 @@ from repro.apps.orbslam.workload import OrbWorkloadConfig, build_orbslam_workloa
 from repro.kernels.workload import Workload
 
 
-def _draw_blobs(
-    rng: np.random.Generator, width: int, height: int, blobs: int
-) -> Tuple[np.ndarray, ...]:
-    """Per-blob geometry and brightness, drawn one blob at a time.
-
-    Each placement draw is bounded by the preceding size draw, so the
-    sequence of generator calls — and therefore the scene for a given
-    seed — is fixed; both rasterizers consume the same draws.
-    """
-    ws = np.empty(blobs, dtype=np.int64)
-    hs = np.empty(blobs, dtype=np.int64)
-    xs = np.empty(blobs, dtype=np.int64)
-    ys = np.empty(blobs, dtype=np.int64)
-    colors = np.empty(blobs, dtype=np.float64)
-    for i in range(blobs):
-        ws[i] = rng.integers(6, 24)
-        hs[i] = rng.integers(6, 24)
-        xs[i] = rng.integers(0, width - ws[i])
-        ys[i] = rng.integers(0, height - hs[i])
-        colors[i] = float(rng.integers(100, 250))
-    return ws, hs, xs, ys, colors
-
-
 def synthetic_scene(
     width: int = 320,
     height: int = 240,
     seed: int = 0,
     blobs: int = 120,
-    vectorized: bool = True,
 ) -> np.ndarray:
     """A textured synthetic frame with strong corners.
 
     Random bright rectangles over a dark background produce reliable
-    FAST corners at their vertices.  With ``vectorized`` the blobs are
-    rasterized in one scatter (later blobs win each pixel, matching the
-    paint order); the per-blob slice loop remains the reference
-    fallback (and the only path under fault injection).
+    FAST corners at their vertices; later blobs paint over earlier
+    ones.  Each placement draw is bounded by the preceding size draw,
+    so the sequence of generator calls — and therefore the scene for a
+    given seed — is fixed.
     """
     rng = np.random.default_rng(seed)
-    ws, hs, xs, ys, colors = _draw_blobs(rng, width, height, blobs)
     image = np.full((height, width), 20.0)
-    if blobs == 0:
-        return image
-    if vectorized and not _injection_active():
-        # One flat pixel index per covered (blob, pixel) pair; the
-        # highest blob id at each pixel is the last painter.
-        counts = ws * hs
-        blob_of = np.repeat(np.arange(blobs), counts)
-        k = np.arange(int(counts.sum())) - np.repeat(
-            np.cumsum(counts) - counts, counts
-        )
-        w_of = ws[blob_of]
-        py = ys[blob_of] + k // w_of
-        px = xs[blob_of] + k % w_of
-        winner = np.full(height * width, -1, dtype=np.int64)
-        np.maximum.at(winner, py * width + px, blob_of)
-        flat = image.reshape(-1)
-        painted = winner >= 0
-        flat[painted] = colors[winner[painted]]
-        return image
-    for i in range(blobs):
-        image[ys[i] : ys[i] + hs[i], xs[i] : xs[i] + ws[i]] = colors[i]
+    for _ in range(blobs):
+        w = rng.integers(6, 24)
+        h = rng.integers(6, 24)
+        x = rng.integers(0, width - w)
+        y = rng.integers(0, height - h)
+        image[y : y + h, x : x + w] = float(rng.integers(100, 250))
     return image
-
-
-def _injection_active() -> bool:
-    """Whether a fault plan is live (lazy import: no cycle at load)."""
-    from repro.robustness.inject import injection_active
-
-    return injection_active()
 
 
 def shift_scene(image: np.ndarray, dx: int, dy: int) -> np.ndarray:

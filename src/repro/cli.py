@@ -11,22 +11,17 @@ code:
 - ``cache info|clear [--dir DIR]`` — inspect or invalidate the
   persistent characterization store (per-shard entry/byte/hit-rate
   stats and the LRU byte budget);
-- ``serve [requests.json] [--bench]`` — answer a one-shot stream of
-  tune requests through the coalescing multi-tenant server, or
-  ``--bench`` it with synthetic traffic and report serial vs coalesced
-  sustained throughput (see :mod:`repro.serve`);
+- ``serve requests.json`` — answer a one-shot stream of tune requests
+  through the coalescing multi-tenant server (see :mod:`repro.serve`);
 - ``stream [app] [board] [--window N] [--hysteresis N]
   [--chunk-size N]`` — online re-tuning over a streaming trace or
   synthetic counter stream: incremental windowed metrics, drift
-  detection, hysteresis-gated flips, optional ``--contend APP``
-  multi-app contention and ``--bench`` for the gated stream metrics
-  (see :mod:`repro.stream` and ``docs/streaming.md``);
+  detection, hysteresis-gated flips and optional ``--contend APP``
+  multi-app contention (see :mod:`repro.stream` and
+  ``docs/streaming.md``);
 - ``bench [--apps ...] [--boards ...] [--jobs N]`` — run the app ×
   board benchmark grid in parallel and print (or ``--output`` as JSON)
   the tuned recommendation and measured per-model times per cell;
-  ``bench --check`` instead re-measures the vectorized fast paths
-  against the committed ``BENCH_*.json`` baselines and exits 4 when
-  one regressed more than 25 % (see :mod:`repro.perf.regress`);
 - ``tune <app> <board> [--model SC]`` — run the Fig-2 flow on one of
   the bundled case studies (``shwfs`` or ``orbslam``); ``--trace FILE``
   writes the run's spans as a Chrome/Perfetto trace and
@@ -430,18 +425,15 @@ def cmd_cache(args: argparse.Namespace) -> str:
 
 
 def cmd_serve(args: argparse.Namespace) -> str:
-    """Drive the coalescing tune server (one-shot file or self-bench)."""
+    """Drive the coalescing tune server over a one-shot requests file."""
     import json
     import pathlib
 
-    if args.bench:
-        return _serve_bench(args)
     if not args.requests_file:
         raise ReproError(
-            "serve needs a requests file or --bench (the CLI has no "
-            "long-running listener; `repro serve requests.json` answers "
-            "a one-shot stream, `repro serve --bench` self-drives "
-            "synthetic traffic)",
+            "serve needs a requests file (the CLI has no long-running "
+            "listener; `repro serve requests.json` answers a one-shot "
+            "stream)",
             code="SERVE_BAD_REQUEST",
         )
     from repro.serve.coalescer import TuneRequest
@@ -511,52 +503,10 @@ def _serve_config(args: argparse.Namespace, requests: int):
                        max_pending=max_pending).validated()
 
 
-def _serve_bench(args: argparse.Namespace) -> str:
-    """``repro serve --bench``: the sustained-throughput self-drive."""
-    import json
-    import pathlib
-    import time
-
-    from repro.serve.bench import collect_serve_bench, serving_probe
-
-    config = _serve_config(args, args.requests)
-    footer = ""
-    if args.json:
-        payload = collect_serve_bench(
-            generated=time.strftime("%Y-%m-%d"), requests=args.requests)
-        pathlib.Path(args.json).write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        serving = payload["serving"]
-        churn = payload["store_churn"]
-        footer = (f"\nstore churn: hit rate {churn['hit_rate']}, "
-                  f"{churn['evictions']} eviction(s)"
-                  f"\nbaseline written to {args.json}")
-    else:
-        serving = serving_probe(args.requests, config=config)
-    lines = [
-        f"Serve bench — {serving['requests']} requests over "
-        f"{serving['distinct_questions']} distinct questions "
-        f"(window {serving['window_s'] * 1e3:g} ms, "
-        f"max batch {serving['max_batch']})",
-        f"  serial:    {serving['serial_decisions_per_s']} decisions/s "
-        f"({serving['serial_s']} s)",
-        f"  coalesced: {serving['coalesced_decisions_per_s']} decisions/s "
-        f"({serving['coalesced_s']} s)",
-        f"  speedup: {serving['speedup']}x in {serving['batches']} "
-        f"batch(es), mean size {serving['mean_batch_size']}, "
-        f"{serving['coalesced_answers']} coalesced answer(s), "
-        f"{serving['shed']} shed",
-    ]
-    return "\n".join(lines) + footer
-
-
 def cmd_stream(args: argparse.Namespace) -> str:
     """Online re-tuning over a streaming trace or counter stream."""
     import json
     import pathlib
-
-    if args.bench:
-        return _stream_bench(args)
 
     from repro.errors import StreamError
     from repro.stream import (
@@ -680,45 +630,9 @@ def _flip_lines(flips, prefix: str = "") -> List[str]:
     return lines
 
 
-def _stream_bench(args: argparse.Namespace) -> str:
-    """``repro stream --bench``: measure the gated stream metrics."""
-    import json
-    import pathlib
-    import time
-
-    from repro.stream.bench import collect_stream_bench
-
-    payload = collect_stream_bench(generated=time.strftime("%Y-%m-%d"))
-    footer = ""
-    if args.json:
-        pathlib.Path(args.json).write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        footer = f"\nbaseline written to {args.json}"
-    stream = payload["stream"]
-    inc = stream["incremental"]
-    thr = stream["throughput"]
-    lines = [
-        "Stream bench — gated metrics for BENCH_stream.json",
-        f"  incremental windows: {stream['incremental_speedup']}x over "
-        f"naive recompute ({inc['recompute_s']} s -> "
-        f"{inc['incremental_s']} s on {inc['events']} events, window "
-        f"{inc['window']}, stride {inc['stride']})",
-        f"  sustained re-tune rate: {stream['decisions_per_sec']} "
-        f"decisions/sec ({thr['decisions']} decisions, "
-        f"{thr['workload']})",
-    ]
-    return "\n".join(lines) + footer
-
-
 def cmd_bench(args: argparse.Namespace):
     """Run the app × board benchmark grid in parallel."""
     import json
-
-    if args.check:
-        from repro.perf.regress import check
-
-        return check(threshold=args.check_threshold,
-                     trace_path=args.check_trace)
 
     from repro.perf.grid import run_grid
 
@@ -1006,36 +920,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="the applications' current model")
     p.add_argument("--output", default=None, metavar="FILE",
                    help="also write the grid results as JSON")
-    p.add_argument("--check", action="store_true",
-                   help="instead of the grid, re-measure the vectorized "
-                        "fast paths against the committed BENCH_*.json "
-                        "baselines (exit 4 on regression)")
-    p.add_argument("--check-threshold", type=float, default=0.25,
-                   metavar="FRAC",
-                   help="flag a speedup more than FRAC below its baseline "
-                        "(default: 0.25)")
-    p.add_argument("--check-trace", default=None, metavar="FILE",
-                   help="where --check writes its post-mortem trace on "
-                        "failure (default: bench-check-trace.json next to "
-                        "the baselines)")
     add_cache_flags(p)
     add_surrogate_flag(p)
 
     p = sub.add_parser(
         "serve",
         help="answer a stream of tune requests through the coalescing "
-             "server (or --bench it)")
+             "server")
     p.add_argument("requests_file", nargs="?", default=None,
                    help="JSON array of request objects "
                         '({"board": ..., "app": ..., ...}) to answer '
                         "as one concurrent stream")
-    p.add_argument("--bench", action="store_true",
-                   help="self-drive the server with synthetic "
-                        "multi-tenant traffic and report serial vs "
-                        "coalesced sustained throughput")
-    p.add_argument("--requests", type=int, default=48,
-                   help="how many synthetic requests --bench submits "
-                        "(default: 48)")
     p.add_argument("--window-s", type=float, default=0.005, metavar="S",
                    help="coalescing time window (default: 0.005)")
     p.add_argument("--max-batch", type=int, default=16,
@@ -1043,11 +938,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "immediately (default: 16)")
     p.add_argument("--max-pending", type=int, default=None,
                    help="in-flight bound past which requests are shed "
-                        "(default: 64, raised to the --bench request "
-                        "count)")
-    p.add_argument("--json", default=None, metavar="FILE",
-                   help="with --bench: write the full BENCH_serve.json "
-                        "baseline payload")
+                        "(default: 64, raised to the number of requests "
+                        "in the file)")
     add_cache_flags(p)
     add_surrogate_flag(p)
 
@@ -1090,12 +982,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="a co-resident app sharing the memory system "
                         "(repeatable): decide every window through the "
                         "contention fixed point")
-    p.add_argument("--bench", action="store_true",
-                   help="measure the gated stream metrics (incremental "
-                        "speedup and sustained decisions/sec)")
     p.add_argument("--json", default=None, metavar="FILE",
-                   help="write the run summary (or with --bench the "
-                        "BENCH_stream.json payload) as JSON")
+                   help="write the run summary as JSON")
     add_cache_flags(p)
 
     p = sub.add_parser(

@@ -3,7 +3,7 @@
 Runs MB1→MB3 in order (MB2 consumes MB1's peak throughputs, the
 characterization consumes all three) and assembles the
 :class:`~repro.model.device.DeviceCharacterization` the decision flow
-needs.  Characterizations are cached per board name — the paper's
+needs.  Characterizations are memoized per board value — the paper's
 workflow characterizes a device once and reuses the result across
 applications — and, when a :class:`~repro.perf.cache.CharacterizationCache`
 is attached, persisted on disk across processes under a content hash
@@ -73,7 +73,10 @@ class MicrobenchmarkSuite:
         #: Optional persistent on-disk cache; ``None`` keeps the suite's
         #: persistence opt-in (the CLI turns it on by default).
         self.cache = cache
-        self._cache: Dict[str, DeviceCharacterization] = {}
+        #: In-memory memo keyed by the frozen board value itself, so a
+        #: board that keeps its name but changes a timing field (a
+        #: ``dataclasses.replace`` variant) is characterized afresh.
+        self._cache: Dict[BoardConfig, DeviceCharacterization] = {}
         self._raw: Dict[str, SuiteResults] = {}
 
     def run_all(self, board: BoardConfig) -> SuiteResults:
@@ -152,7 +155,7 @@ class MicrobenchmarkSuite:
                      retries: int = 0,
                      retry_policy: Optional[RetryPolicy] = None
                      ) -> DeviceCharacterization:
-        """Characterize ``board`` (cached by board name).
+        """Characterize ``board`` (memoized by board value).
 
         With a persistent cache attached, a content-hash hit (same
         board, same micro-benchmark parameters, same package version)
@@ -173,18 +176,27 @@ class MicrobenchmarkSuite:
         last error is re-raised as ``MICROBENCH_RETRIES_EXHAUSTED``,
         annotated with the attempt count.
         """
-        if not force and board.name in self._cache:
-            obs.counter_inc("microbench.characterize.memory_hit")
-            return self._cache[board.name]
         if not force:
+            hit = self._cache.get(board)
+            if hit is not None:
+                obs.counter_inc("microbench.characterize.memory_hit")
+                return hit
             persisted = self._persistent_load(board)
             if persisted is not None:
-                self._cache[board.name] = persisted
+                self._cache[board] = persisted
                 return persisted
         policy = retry_policy or RetryPolicy.from_attempts(retries)
         characterization = self._characterize_deduped(board, policy, force)
-        self._cache[board.name] = characterization
+        self._cache[board] = characterization
         return characterization
+
+    def memoized(self, board: BoardConfig
+                 ) -> Optional[DeviceCharacterization]:
+        """The in-memory characterization of ``board``, or ``None``.
+
+        Never runs the suite or reads the persistent store.
+        """
+        return self._cache.get(board)
 
     def _characterize_deduped(
         self, board: BoardConfig, policy: RetryPolicy, force: bool
@@ -286,10 +298,10 @@ class MicrobenchmarkSuite:
         for board in boards:
             if force:
                 pending.append(board)
-            elif board.name not in self._cache:
+            elif board not in self._cache:
                 persisted = self._persistent_load(board)
                 if persisted is not None:
-                    self._cache[board.name] = persisted
+                    self._cache[board] = persisted
                 else:
                     pending.append(board)
         if pending:
@@ -302,7 +314,7 @@ class MicrobenchmarkSuite:
             for board, device in zip(
                 pending, runner.map(_characterize_worker, jobs)
             ):
-                self._cache[board.name] = device
+                self._cache[board] = device
                 self._persistent_store(board, device)
         return [self.characterize(b) for b in boards]
 

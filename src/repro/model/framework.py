@@ -679,11 +679,12 @@ class Framework:
         deadline left no budget for (degraded mode only)."""
         caveat = (f"tuning skipped — DEADLINE_EXCEEDED: batch budget of "
                   f"{deadline.budget_s:.3f}s exhausted")
+        device = self.suite.memoized(board)
         recommendation = keep_current(
             current_model,
             caveat,
             caveats=[caveat],
-            device=self.suite._cache.get(board.name),
+            device=device,
         )
         obs.counter_inc("framework.tune.degraded")
         return TuningReport(
@@ -691,7 +692,7 @@ class Framework:
             board_name=board.name,
             current_model=current_model.upper(),
             profile=None,
-            device=self.suite._cache.get(board.name),
+            device=device,
             cpu_cache_usage_pct=float("nan"),
             gpu_cache_usage_pct=float("nan"),
             recommendation=recommendation,

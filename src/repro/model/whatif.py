@@ -90,73 +90,35 @@ def scale_zc_path(board: BoardConfig, factor: float) -> BoardConfig:
     )
 
 
-def _sweep_evaluator(workload: Workload, board: BoardConfig):
-    """A factor-closed-form ZC evaluator, or ``None``.
-
-    Imported lazily: :mod:`repro.perf` sits above the soc layer and
-    below the model layer only at call time.
-    """
-    from repro.perf.batch import BatchUnsupported, ZcSweepEvaluator
-    from repro.robustness.inject import injection_active
-
-    if injection_active():
-        # Fault plans patch the scalar simulation seams; the closed
-        # form would compute around them.
-        return None
-    try:
-        return ZcSweepEvaluator(workload, board)
-    except BatchUnsupported:
-        return None
-
-
 def zc_bandwidth_sweep(
     workload: Workload,
     board: BoardConfig,
     factors: Sequence[float] = DEFAULT_FACTORS,
-    vectorized: bool = True,
-    early_exit: bool = False,
 ) -> SweepResult:
     """Measure SC vs ZC across zero-copy path scalings.
 
     The SC baseline is measured once on the unmodified board (SC does
-    not use the ZC path); ZC is re-measured per factor.  With
-    ``vectorized`` enabled the ZC executor runs once and each factor is
-    re-evaluated in closed form (:class:`repro.perf.batch.ZcSweepEvaluator`);
-    unsupported workloads — or an active fault injector — fall back to
-    the per-factor executor sweep.
-
-    With ``early_exit`` the ordered sweep stops at the first factor
-    where ZC wins: scaling the ZC path faster only ever helps ZC, so
-    once it wins the winner can no longer flip at larger factors and
-    ``crossover_factor`` / ``zc_always_wins`` are already decided.  The
-    truncated sweep reports only the points actually evaluated.
+    not use the ZC path); ZC is re-measured per factor by running the
+    executor on :func:`scale_zc_path`'s board variant.
     """
     if not factors:
         raise ModelError("the sweep needs at least one factor")
     ordered = sorted(set(factors))
     sc_time = get_model("SC").execute(workload, SoC(board)).time_per_iteration_s
-    evaluator = _sweep_evaluator(workload, board) if vectorized else None
     points = []
     for factor in ordered:
-        if evaluator is not None:
-            gpu_zc_bandwidth = board.zero_copy.gpu_zc_bandwidth * factor
-            zc_time = evaluator.zc_time(factor)
-        else:
-            variant = scale_zc_path(board, factor)
-            gpu_zc_bandwidth = variant.zero_copy.gpu_zc_bandwidth
-            zc_time = get_model("ZC").execute(
-                workload, SoC(variant)
-            ).time_per_iteration_s
+        variant = scale_zc_path(board, factor)
+        zc_time = get_model("ZC").execute(
+            workload, SoC(variant)
+        ).time_per_iteration_s
         points.append(
             SweepPoint(
                 factor=factor,
-                gpu_zc_bandwidth=gpu_zc_bandwidth,
+                gpu_zc_bandwidth=variant.zero_copy.gpu_zc_bandwidth,
                 sc_time_s=sc_time,
                 zc_time_s=zc_time,
             )
         )
-        if early_exit and zc_time < sc_time:
-            break
     return SweepResult(
         board_name=board.name,
         workload_name=workload.name,

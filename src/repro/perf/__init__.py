@@ -14,10 +14,7 @@ workflow:
   cache keyed by a content hash of the board, the micro-benchmark
   parameters and the package version, and its default backend
   :class:`~repro.perf.cache.ShardedCharacterizationStore` (key-prefix
-  shards, byte-budgeted LRU eviction, per-shard hit/miss metrics);
-- :mod:`repro.perf.regress` — the ``repro bench --check`` regression
-  gate comparing fresh fast-path speedups against the committed
-  ``BENCH_*.json`` baselines.
+  shards, byte-budgeted LRU eviction, per-shard hit/miss metrics).
 
 (:mod:`repro.perf.grid` is imported lazily by the CLI — it pulls in
 the application pipelines and must stay out of this namespace to keep
@@ -26,7 +23,6 @@ the microbench → perf import edge acyclic.)
 
 from repro.perf.batch import (
     BatchUnsupported,
-    ZcSweepEvaluator,
     mb1_gpu_size_sweep,
     mb2_cpu_points,
     mb2_gpu_points,
@@ -44,27 +40,14 @@ from repro.perf.cache import (
     default_store_budget,
 )
 from repro.perf.parallel import ParallelRunner
-from repro.perf.regress import (
-    EXIT_REGRESSION,
-    REGRESSION_THRESHOLD,
-    MetricCheck,
-    collect_app_bench,
-    run_checks,
-)
 
 __all__ = [
     "BatchUnsupported",
-    "ZcSweepEvaluator",
     "mb1_gpu_size_sweep",
     "mb2_cpu_points",
     "mb2_gpu_points",
     "mb3_balance_results",
     "vectorized_second_sweep",
-    "EXIT_REGRESSION",
-    "REGRESSION_THRESHOLD",
-    "MetricCheck",
-    "collect_app_bench",
-    "run_checks",
     "CharacterizationCache",
     "ShardedCharacterizationStore",
     "ShardStats",

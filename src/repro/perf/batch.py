@@ -28,19 +28,14 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.soc.address import DEFAULT_ALIGNMENT
 from repro.soc.analytic import StreamSummary, SummaryBatch, supports
 from repro.soc.gpu import coalesce_stream
-from repro.soc.gpu import _stream_is_pinned as _gpu_stream_is_pinned
 from repro.soc.cpu import _stream_is_pinned as _cpu_stream_is_pinned
-from repro.soc.hierarchy import CacheHierarchy
-from repro.soc.phase import combine_compute_memory
 from repro.soc.soc import SoC
 from repro.soc.stream import AccessStream, PatternKind
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.kernels.workload import Workload
     from repro.microbench.second import SecondMicroBenchmark
     from repro.microbench.third import ThirdBenchResult, ThirdMicroBenchmark
     from repro.model.thresholds import SweepPoint
-    from repro.soc.board import BoardConfig
 
 
 class BatchUnsupported(SimulationError):
@@ -470,220 +465,3 @@ def mb3_balance_results(
             f"recomposed {model} iteration diverged from the reference",
         )
     return results
-
-
-# ----------------------------------------------------------------------
-# what-if: the ZC bandwidth factor sweep
-# ----------------------------------------------------------------------
-#
-# ``scale_zc_path`` only touches the uncached port bandwidths and the
-# uncached latency, and under ZC every pinned stream runs with the
-# caches disabled — so each stream's DRAM traffic (and its exposed
-# latency) is factor-invariant.  One probe per stream captures those
-# constants; each factor then costs a handful of float expressions plus
-# one event-simulated overlap instead of a full executor run.
-
-
-def _disabled_cache_probe(
-    hierarchy: CacheHierarchy, stream: AccessStream
-) -> Tuple[float, float]:
-    """(DRAM bytes, exposed latency) of one stream with caches off.
-
-    Both quantities are independent of the memory-port bandwidth, so a
-    single probe serves every scaling factor.
-    """
-    saved_port = hierarchy.memory_port_bandwidth
-    hierarchy.set_all_enabled(False)
-    try:
-        result = hierarchy.process(stream, mode="auto")
-    finally:
-        hierarchy.set_all_enabled(True)
-        hierarchy.memory_port_bandwidth = saved_port
-    return (
-        float(result.dram_read_bytes + result.dram_write_bytes),
-        result.exposed_latency_s,
-    )
-
-
-def _merge_streaming(parts: List[Tuple[float, float]],
-                     dram_bandwidth: float) -> Tuple[float, float]:
-    """(streaming, exposed) merged exactly like ``merge_memory_results``."""
-    if len(parts) == 1:
-        dram_bytes, exposed = parts[0]
-        streaming = dram_bytes / dram_bandwidth if dram_bytes > 0 else 0.0
-        return streaming, exposed
-    streaming = 0.0
-    exposed = 0.0
-    for dram_bytes, part_exposed in parts:
-        streaming += dram_bytes / dram_bandwidth if dram_bytes > 0 else 0.0
-        exposed = max(exposed, part_exposed)
-    return streaming, exposed
-
-
-class ZcSweepEvaluator:
-    """Closed-form ZC iteration times across bandwidth scaling factors.
-
-    Runs the zero-copy executor once on the unscaled board, decomposes
-    both phases into factor-invariant constants, and re-evaluates the
-    iteration per factor with exactly the scalar models' arithmetic.
-    The factor-1 recomposition is checked bit-for-bit against the
-    reference run; any workload the decomposition cannot express (a
-    private GPU buffer, a cached stream, a second CPU stream shape)
-    raises :class:`BatchUnsupported` so the caller falls back to the
-    per-factor executor sweep.
-    """
-
-    def __init__(self, workload: "Workload", board: "BoardConfig") -> None:
-        from repro.comm.tiling import TilingPlan
-        from repro.comm.zero_copy import ZeroCopyModel
-
-        self.workload = workload
-        self.board = board
-        zc = board.zero_copy
-        _require(workload.gpu_kernel is not None,
-                 "the what-if sweep needs a GPU kernel")
-        _require(zc.gpu_zc_bandwidth > 0,
-                 "the board has no uncached GPU path to scale")
-
-        soc = SoC(board)
-        model = ZeroCopyModel()
-        self._report = model.execute(workload, soc)
-        self._gpu_phase = self._report.gpu_phase
-        self._cpu_phase = self._report.cpu_phase
-
-        placed = model.place(workload, soc)
-        line = soc.board.gpu.l1.line_size
-        gpu_streams = [
-            coalesce_stream(s, line, soc.gpu.config.warp_size)
-            for s in workload.gpu_kernel.build_streams(
-                placed.gpu_buffers, line
-            )
-        ]
-        for s in gpu_streams:
-            _require(_gpu_stream_is_pinned(s),
-                     "a GPU stream touches a private (cached) buffer")
-        self._gpu_parts = [
-            _disabled_cache_probe(soc.gpu.hierarchy, s) for s in gpu_streams
-        ]
-        snoop = 0.0
-        for _ in gpu_streams:
-            snoop += zc.snoop_latency_s if zc.io_coherent else 0.0
-        self._gpu_snoop = snoop
-        self._gpu_dram_eff = soc.gpu.hierarchy.dram.config.effective_bandwidth
-        self._launch_s = soc.gpu.config.kernel_launch_overhead_s
-
-        self._cpu_parts: Optional[List[Tuple[float, float, int, PatternKind]]]
-        self._cpu_parts = None
-        if workload.cpu_task is not None and zc.cpu_llc_disabled:
-            _require(zc.cpu_zc_bandwidth > 0,
-                     "the board has no uncached CPU path to scale")
-            cpu_streams = workload.cpu_task.build_streams(
-                placed.cpu_buffers, soc.board.cpu.l1.line_size
-            )
-            for s in cpu_streams:
-                _require(_cpu_stream_is_pinned(s),
-                         "a CPU stream touches a private (cached) buffer")
-            self._cpu_parts = [
-                _disabled_cache_probe(soc.cpu.hierarchy, s)
-                + (s.total_transactions, s.pattern)
-                for s in cpu_streams
-            ]
-            self._cpu_dram_eff = \
-                soc.cpu.hierarchy.dram.config.effective_bandwidth
-            self._cpu_mlp = soc.cpu.config.mlp
-            self._cpu_hide = soc.cpu.config.memory_hide_factor
-
-        self._fabric_dram_eff = soc.dram.config.effective_bandwidth
-        self._plan: Optional[TilingPlan] = None
-        if self._report.steady_iteration.is_overlapped:
-            shared = workload.shared_buffers
-            plan_buffer = max(shared, key=lambda b: b.size_bytes) if shared \
-                else max(workload.buffers, key=lambda b: b.size_bytes)
-            self._plan = TilingPlan.for_buffer(plan_buffer, board)
-
-        _require(
-            self.zc_time(1.0) == self._report.time_per_iteration_s,
-            "factor-1 recomposition diverged from the reference run",
-        )
-
-    def _gpu_phase_at(self, factor: float):
-        zc = self.board.zero_copy
-        dram_bw = min(zc.gpu_zc_bandwidth * factor, self._gpu_dram_eff)
-        streaming, exposed = _merge_streaming(self._gpu_parts, dram_bw)
-        memory_s = streaming + exposed + self._gpu_snoop
-        busy = combine_compute_memory(
-            self._gpu_phase.compute_time_s, memory_s, hide_factor=1.0
-        )
-        return replace(
-            self._gpu_phase,
-            memory_time_s=memory_s,
-            time_s=busy + self._launch_s,
-        )
-
-    def _cpu_phase_at(self, factor: float):
-        if self._cpu_phase is None or self._cpu_parts is None:
-            return self._cpu_phase
-        zc = self.board.zero_copy
-        dram_bw = min(zc.cpu_zc_bandwidth * factor, self._cpu_dram_eff)
-        latency = zc.cpu_uncached_latency_s / factor
-        serial = 0.0
-        hidable = 0.0
-        for dram_bytes, exposed, transactions, pattern in self._cpu_parts:
-            piece = (dram_bytes / dram_bw if dram_bytes > 0 else 0.0) + exposed
-            if latency > 0:
-                if pattern is PatternKind.SINGLE_ADDRESS:
-                    piece += transactions * latency
-                elif pattern in (
-                    PatternKind.STRIDED,
-                    PatternKind.SPARSE,
-                    PatternKind.TILED,
-                    PatternKind.CUSTOM,
-                ):
-                    piece += transactions * latency / self._cpu_mlp
-            if pattern is PatternKind.SINGLE_ADDRESS:
-                serial += piece
-            else:
-                hidable += piece
-        total = combine_compute_memory(
-            self._cpu_phase.compute_time_s, hidable, self._cpu_hide
-        ) + serial
-        return replace(
-            self._cpu_phase,
-            memory_time_s=serial + hidable,
-            time_s=total,
-        )
-
-    def zc_time(self, factor: float) -> float:
-        """Steady-state ZC iteration time at one scaling factor."""
-        from repro.comm.report import IterationBreakdown
-        from repro.comm.tiling import TiledZeroCopyPattern
-        from repro.comm.zero_copy import ZeroCopyModel
-
-        gpu_phase = self._gpu_phase_at(factor)
-        cpu_phase = self._cpu_phase_at(factor)
-        workload = self.workload
-        cpu_time = cpu_phase.time_s if cpu_phase is not None else 0.0
-        if self._plan is not None and cpu_phase is not None:
-            zc = self.board.zero_copy
-            cpu_bw = zc.cpu_zc_bandwidth * factor \
-                if zc.cpu_llc_disabled else self._fabric_dram_eff
-            gpu_bw = zc.gpu_zc_bandwidth * factor
-            execution = TiledZeroCopyPattern(self._plan).overlapped_execution(
-                ZeroCopyModel._job_from_phase(cpu_phase, cpu_bw, overlap=False),
-                ZeroCopyModel._job_from_phase(gpu_phase, gpu_bw, overlap=True),
-                self.board.interconnect,
-            )
-            breakdown = IterationBreakdown(
-                cpu_time_s=cpu_time,
-                kernel_time_s=gpu_phase.time_s,
-                sync_overhead_s=execution.sync_overhead_s,
-                other_time_s=workload.fixed_iteration_overhead_s,
-                overlapped_time_s=execution.overlapped_time_s,
-            )
-        else:
-            breakdown = IterationBreakdown(
-                cpu_time_s=cpu_time,
-                kernel_time_s=gpu_phase.time_s,
-                other_time_s=workload.fixed_iteration_overhead_s,
-            )
-        return breakdown.total_s

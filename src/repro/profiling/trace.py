@@ -224,16 +224,15 @@ class RecordedTrace:
 
     @classmethod
     def from_csv(cls, source: Union[str, pathlib.Path, io.TextIOBase],
-                 access_size: int = 4,
-                 vectorized: bool = True) -> "RecordedTrace":
+                 access_size: int = 4) -> "RecordedTrace":
         """Load ``offset,rw`` rows (rw: R/W, r/w, 0/1).
 
         A header row is skipped automatically when its first cell is
-        not numeric; a UTF-8 BOM on the first row is stripped.  With
-        ``vectorized`` the file is parsed as NumPy structured-array
-        operations (no per-row handling); quoted cells — and an active
-        fault injector — fall back to the scalar ``csv`` parser, which
-        remains the reference.
+        not numeric; a UTF-8 BOM on the first row is stripped.  The
+        file is parsed as NumPy structured-array operations (no per-row
+        handling); quoted cells, non-ASCII text and an active fault
+        injector take the scalar ``csv`` parser, which remains the
+        reference.
         """
         if isinstance(source, (str, pathlib.Path)):
             with open(source, "r", newline="") as handle:
@@ -242,11 +241,7 @@ class RecordedTrace:
             text = source.read()
         if text.startswith("\ufeff"):
             text = text[1:]
-        rows: Optional[np.ndarray] = None
-        if vectorized and '"' not in text and not _injection_active():
-            rows = cls._parse_csv_vectorized(text)
-        if rows is None:
-            rows = cls._parse_csv_scalar(io.StringIO(text, newline=""))
+        rows = cls._parse_block(text)
         if len(rows) == 0:
             raise ProfilingError("the CSV contained no trace rows")
         return cls(
@@ -260,7 +255,6 @@ class RecordedTrace:
         cls,
         source: Union[str, pathlib.Path, io.TextIOBase],
         chunk_size: int = 65536,
-        vectorized: bool = True,
     ):
         """Decode an ``offset,rw`` CSV stream in bounded memory.
 
@@ -285,13 +279,12 @@ class RecordedTrace:
             )
         if isinstance(source, (str, pathlib.Path)):
             with open(source, "r", newline="") as handle:
-                yield from cls._iter_chunks(handle, chunk_size, vectorized)
+                yield from cls._iter_chunks(handle, chunk_size)
         else:
-            yield from cls._iter_chunks(source, chunk_size, vectorized)
+            yield from cls._iter_chunks(source, chunk_size)
 
     @classmethod
-    def _iter_chunks(cls, handle: io.TextIOBase, chunk_size: int,
-                     vectorized: bool):
+    def _iter_chunks(cls, handle: io.TextIOBase, chunk_size: int):
         # Enough characters per read that the NumPy fast path amortizes
         # its setup, bounded so memory stays O(read + chunk), not O(file).
         read_chars = max(1 << 16, min(chunk_size * 16, 1 << 22))
@@ -312,7 +305,7 @@ class RecordedTrace:
             text, carry = cls._split_complete_lines(text)
             if not text:
                 continue
-            rows = cls._parse_block(text, vectorized)
+            rows = cls._parse_block(text)
             if len(rows):
                 pending.append(rows)
                 pending_rows += len(rows)
@@ -325,7 +318,7 @@ class RecordedTrace:
                 pending = [remainder] if len(remainder) else []
                 pending_rows = len(remainder)
         if carry:
-            rows = cls._parse_block(carry, vectorized)
+            rows = cls._parse_block(carry)
             if len(rows):
                 pending.append(rows)
                 pending_rows += len(rows)
@@ -363,10 +356,12 @@ class RecordedTrace:
         return head, tail
 
     @classmethod
-    def _parse_block(cls, text: str, vectorized: bool) -> np.ndarray:
-        """One block through the same parser choice as :meth:`from_csv`."""
+    def _parse_block(cls, text: str) -> np.ndarray:
+        """Rows of one block: the NumPy path for unquoted text, the
+        scalar reference parser for what it rejects or under an active
+        fault injector."""
         rows: Optional[np.ndarray] = None
-        if vectorized and '"' not in text and not _injection_active():
+        if '"' not in text and not _injection_active():
             rows = cls._parse_csv_vectorized(text)
         if rows is None:
             rows = cls._parse_csv_scalar(io.StringIO(text, newline=""))

@@ -18,10 +18,8 @@ paper describes, amortized three ways —
   answers with coded caveats, and per-request deadlines with
   :mod:`repro.resilience.deadline` semantics.
 
-``repro serve --bench`` self-drives the server with synthetic
-multi-tenant traffic; :mod:`repro.serve.bench` is the one source of
-truth for the ``BENCH_serve.json`` baseline and its exit-4 regression
-gate.  See ``docs/serving.md``.
+``repro serve requests.json`` answers a one-shot request stream from
+the command line.  See ``docs/serving.md``.
 """
 
 from repro.serve.coalescer import (

@@ -53,7 +53,7 @@ from repro.serve.coalescer import (
     plan_unique_jobs,
     shed_report,
 )
-from repro.soc.board import get_board
+from repro.soc.board import BoardConfig, get_board
 
 
 @dataclass(frozen=True)
@@ -194,7 +194,7 @@ class TuneServer:
         obs.counter_inc("serve.submitted")
         self.stats.submitted += 1
         if self._pending >= self.config.max_pending:
-            return self._shed(request, "SERVE_OVERLOADED",
+            return self._shed(request, board, "SERVE_OVERLOADED",
                               f"{self._pending} request(s) already in "
                               f"flight (limit {self.config.max_pending})")
         key = BatchKey(
@@ -227,7 +227,7 @@ class TuneServer:
         return list(await asyncio.gather(
             *(self.submit(request) for request in requests)))
 
-    def _shed(self, request: TuneRequest, code: str,
+    def _shed(self, request: TuneRequest, board: BoardConfig, code: str,
               detail: str) -> TuneAnswer:
         obs.counter_inc("serve.shed")
         obs.event("serve.shed", code=code, board=request.board,
@@ -236,7 +236,7 @@ class TuneServer:
             self.stats.shed_deadline += 1
         else:
             self.stats.shed_overload += 1
-        device = self.framework.suite._cache.get(request.board)
+        device = self.framework.suite.memoized(board)
         return TuneAnswer(
             request=request,
             report=shed_report(request, code, detail, device=device),
@@ -301,7 +301,7 @@ class TuneServer:
             remaining = item.remaining_s(now)
             if remaining is not None and remaining <= 0:
                 answers[id(item)] = self._shed(
-                    item.request, "DEADLINE_EXCEEDED",
+                    item.request, batch.board, "DEADLINE_EXCEEDED",
                     f"budget of {item.request.deadline_s:.3f}s exhausted "
                     f"after {now - item.enqueued:.3f}s in queue")
                 continue

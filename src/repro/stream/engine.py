@@ -6,7 +6,7 @@ full online loop:
 1. the source yields bounded-memory feature chunks;
 2. :class:`~repro.stream.window.SlidingWindow` turns them into
    incremental per-window integer sums (the headline O(1)-amortized
-   path, gated in ``BENCH_stream.json``);
+   path);
 3. the :class:`~repro.stream.drift.DriftDetector` classifies the
    vectorized usage series of each emission block;
 4. each window's reconstructed profile re-runs the Fig-2 decision

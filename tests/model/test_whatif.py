@@ -71,10 +71,16 @@ class TestSweep:
         with pytest.raises(ModelError):
             zc_bandwidth_sweep(workload, get_board("tx2"), factors=())
 
+    def test_no_crossover_below_current_path(self):
+        workload = OrbPipeline().workload(iterations=10, board_name="tx2")
+        result = zc_bandwidth_sweep(workload, get_board("tx2"),
+                                    factors=(0.25, 0.5))
+        assert len(result.points) == 2
+        assert result.crossover_factor is None
+
 
 def _pinned_workload():
-    """The MB3 shape: all-shared, cache-independent — the workload
-    class the closed-form sweep evaluator covers."""
+    """The MB3 shape: all-shared and cache-independent."""
     from repro.microbench.third import ThirdMicroBenchmark
     from repro.soc.soc import SoC
 
@@ -84,69 +90,26 @@ def _pinned_workload():
     ), board
 
 
-class TestVectorizedSweep:
-    def test_closed_form_matches_executor(self):
-        workload, board = _pinned_workload()
-        fast = zc_bandwidth_sweep(workload, board, vectorized=True)
-        slow = zc_bandwidth_sweep(workload, board, vectorized=False)
-        assert [p.factor for p in fast.points] == \
-            [p.factor for p in slow.points]
-        for a, b in zip(fast.points, slow.points):
-            assert a.sc_time_s == b.sc_time_s
-            assert a.zc_time_s == pytest.approx(b.zc_time_s, rel=1e-12)
-            assert a.winner == b.winner
-        assert fast.crossover_factor == slow.crossover_factor
+class TestPinnedWorkloadSweep:
+    @pytest.fixture(scope="class")
+    def sweep(self):
+        return zc_bandwidth_sweep(*_pinned_workload())
 
-    def test_unsupported_workload_falls_back(self):
-        """Cached apps cannot use the closed form; both flags must run
-        the identical per-factor executor sweep."""
-        workload = OrbPipeline().workload(iterations=10, board_name="tx2")
-        fast = zc_bandwidth_sweep(workload, get_board("tx2"),
-                                  factors=(1.0, 4.0), vectorized=True)
-        slow = zc_bandwidth_sweep(workload, get_board("tx2"),
-                                  factors=(1.0, 4.0), vectorized=False)
-        assert [p.zc_time_s for p in fast.points] == \
-            [p.zc_time_s for p in slow.points]
+    def test_crossover_inside_default_factors(self, sweep):
+        assert [p.factor for p in sweep.points] == list(DEFAULT_FACTORS)
+        assert sweep.crossover_factor is not None
+        assert not sweep.zc_always_wins
 
-    def test_injection_falls_back(self):
+    def test_zc_improves_monotonically(self, sweep):
+        times = [p.zc_time_s for p in sweep.points]
+        assert times == sorted(times, reverse=True)
+
+    def test_fault_free_injector_leaves_sweep_unchanged(self, sweep):
         from repro.robustness.faults import FaultPlan
         from repro.robustness.inject import inject_faults
 
         workload, board = _pinned_workload()
-        clean = zc_bandwidth_sweep(workload, board, vectorized=False)
         with inject_faults(FaultPlan(seed=0)):
-            injected = zc_bandwidth_sweep(workload, board, vectorized=True)
+            injected = zc_bandwidth_sweep(workload, board)
         assert [p.zc_time_s for p in injected.points] == \
-            [p.zc_time_s for p in clean.points]
-
-
-class TestEarlyExit:
-    def test_stops_at_first_zc_win(self):
-        workload, board = _pinned_workload()
-        full = zc_bandwidth_sweep(workload, board)
-        truncated = zc_bandwidth_sweep(workload, board, early_exit=True)
-        assert full.crossover_factor is not None
-        assert truncated.points[-1].factor == full.crossover_factor
-        assert len(truncated.points) < len(full.points)
-
-    def test_decisions_match_full_sweep(self):
-        workload, board = _pinned_workload()
-        full = zc_bandwidth_sweep(workload, board)
-        truncated = zc_bandwidth_sweep(workload, board, early_exit=True)
-        assert truncated.crossover_factor == full.crossover_factor
-        assert truncated.zc_always_wins == full.zc_always_wins
-
-    def test_no_win_evaluates_everything(self):
-        workload = OrbPipeline().workload(iterations=10, board_name="tx2")
-        result = zc_bandwidth_sweep(workload, get_board("tx2"),
-                                    factors=(0.25, 0.5), early_exit=True)
-        assert len(result.points) == 2
-        assert result.crossover_factor is None
-
-    def test_scalar_path_also_exits_early(self):
-        workload, board = _pinned_workload()
-        full = zc_bandwidth_sweep(workload, board, vectorized=False)
-        truncated = zc_bandwidth_sweep(workload, board, vectorized=False,
-                                       early_exit=True)
-        assert truncated.crossover_factor == full.crossover_factor
-        assert len(truncated.points) < len(full.points)
+            [p.zc_time_s for p in sweep.points]

@@ -107,12 +107,3 @@ class TestKillSwitch:
         assert args.obs_off is True
         args = build_parser().parse_args(["boards"])
         assert args.obs_off is False
-
-
-class TestBenchCheckTrace:
-    def test_check_trace_flag_parses(self):
-        args = build_parser().parse_args(
-            ["bench", "--check", "--check-trace", "out.json"]
-        )
-        assert args.check
-        assert args.check_trace == "out.json"

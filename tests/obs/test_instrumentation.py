@@ -1,14 +1,10 @@
-"""Instrumented seams: fault events, comm/microbench spans, the bench
-gate's post-mortem trace, and tune_many/compare_models coverage."""
-
-import json
+"""Instrumented seams: fault events, comm/microbench spans, and
+tune_many/compare_models coverage."""
 
 from repro.apps.shwfs import ShwfsPipeline
 from repro.model.framework import Framework
-from repro.obs.export import validate_chrome_trace
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import get_spans
-from repro.perf import regress
 from repro.robustness.faults import FaultPlan
 from repro.robustness.inject import inject_faults
 from repro.soc.board import get_board
@@ -98,71 +94,6 @@ class TestFaultEvents:
         assert fired[0].attributes["site"] == "soc.copy"
         assert REGISTRY.counter("robustness.fault.copy-stall").value == \
             len(injector.log.events)
-
-
-class TestBenchGate:
-    def test_probe_timings_reach_the_registry(self, tmp_path, monkeypatch):
-        metric = "paths.fake.speedup"
-        (tmp_path / "BENCH_app.json").write_text(json.dumps(
-            {"paths": {"fake": {"speedup": 10.0}}}
-        ))
-        monkeypatch.setattr(
-            regress, "PROBES",
-            {metric: ("BENCH_app.json", lambda: (1.0, 0.1))},
-        )
-        checks = regress.run_checks(baseline_dir=tmp_path)
-        assert len(checks) == 1 and not checks[0].regressed
-        assert REGISTRY.gauge(f"bench.{metric}.scalar_s").value == 1.0
-        assert REGISTRY.gauge(f"bench.{metric}.vectorized_s").value == 0.1
-        assert REGISTRY.gauge(f"bench.{metric}.speedup").value == 10.0
-        assert any(s.name == "bench.probe" for s in get_spans())
-
-    def test_failed_gate_writes_postmortem_trace(self, tmp_path,
-                                                 monkeypatch):
-        (tmp_path / "BENCH_app.json").write_text(json.dumps(
-            {"paths": {"fake": {"speedup": 100.0}}}
-        ))
-        monkeypatch.setattr(
-            regress, "PROBES",
-            {"paths.fake.speedup":
-                ("BENCH_app.json", lambda: (1.0, 1.0))},  # speedup 1x
-        )
-        text, code = regress.check(baseline_dir=tmp_path)
-        assert code == regress.EXIT_REGRESSION
-        artifact = tmp_path / regress.DEFAULT_TRACE_NAME
-        assert f"post-mortem trace written to {artifact}" in text
-        doc = json.loads(artifact.read_text())
-        validate_chrome_trace(doc)
-        names = {e["name"] for e in doc["traceEvents"]}
-        assert {"bench.check", "bench.probe", "bench.regressed"} <= names
-
-    def test_failed_gate_honours_explicit_trace_path(self, tmp_path,
-                                                     monkeypatch):
-        (tmp_path / "BENCH_app.json").write_text(json.dumps(
-            {"paths": {"fake": {"speedup": 100.0}}}
-        ))
-        monkeypatch.setattr(
-            regress, "PROBES",
-            {"paths.fake.speedup": ("BENCH_app.json", lambda: (1.0, 1.0))},
-        )
-        target = tmp_path / "custom-trace.json"
-        text, code = regress.check(baseline_dir=tmp_path, trace_path=target)
-        assert code == regress.EXIT_REGRESSION
-        assert target.exists()
-        assert str(target) in text
-
-    def test_passing_gate_writes_no_trace(self, tmp_path, monkeypatch):
-        (tmp_path / "BENCH_app.json").write_text(json.dumps(
-            {"paths": {"fake": {"speedup": 1.0}}}
-        ))
-        monkeypatch.setattr(
-            regress, "PROBES",
-            {"paths.fake.speedup": ("BENCH_app.json", lambda: (1.0, 0.5))},
-        )
-        text, code = regress.check(baseline_dir=tmp_path)
-        assert code == 0
-        assert not (tmp_path / regress.DEFAULT_TRACE_NAME).exists()
-        assert "post-mortem" not in text
 
 
 class TestMicrobenchSpans:

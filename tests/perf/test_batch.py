@@ -218,40 +218,6 @@ class TestInjectionFallback:
             clean.cpu_analysis.threshold_pct
 
 
-class TestZcSweepEvaluator:
-    def _pinned_workload(self):
-        from repro.microbench.third import ThirdMicroBenchmark
-
-        board = get_board("tx2")
-        return ThirdMicroBenchmark(num_elements=2 ** 20).build_workload(
-            SoC(board)
-        ), board
-
-    def test_factor_one_reproduces_reference_exactly(self):
-        from repro.perf.batch import ZcSweepEvaluator
-
-        workload, board = self._pinned_workload()
-        evaluator = ZcSweepEvaluator(workload, board)
-        assert evaluator.zc_time(1.0) == \
-            evaluator._report.time_per_iteration_s
-
-    def test_cached_workload_unsupported(self):
-        from repro.apps.orbslam import OrbPipeline
-        from repro.perf.batch import ZcSweepEvaluator
-
-        workload = OrbPipeline().workload(iterations=10, board_name="tx2")
-        with pytest.raises(BatchUnsupported):
-            ZcSweepEvaluator(workload, get_board("tx2"))
-
-    def test_faster_path_speeds_up_monotonically(self):
-        from repro.perf.batch import ZcSweepEvaluator
-
-        workload, board = self._pinned_workload()
-        evaluator = ZcSweepEvaluator(workload, board)
-        times = [evaluator.zc_time(f) for f in (0.5, 1.0, 2.0, 8.0)]
-        assert times == sorted(times, reverse=True)
-
-
 class TestMb3BalanceResults:
     def test_matches_scalar_per_balance_runs(self):
         from repro.microbench.third import ThirdMicroBenchmark

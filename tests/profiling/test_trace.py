@@ -160,12 +160,20 @@ from repro.robustness.faults import FaultPlan
 from repro.robustness.inject import inject_faults
 
 
+def scalar_trace(text, access_size=4):
+    """``text`` decoded by the csv-module reference parser alone."""
+    if text.startswith("\ufeff"):
+        text = text[1:]
+    rows = RecordedTrace._parse_csv_scalar(io.StringIO(text, newline=""))
+    if len(rows) == 0:
+        raise ProfilingError("the CSV contained no trace rows")
+    return RecordedTrace(offsets=rows["offset"], is_write=rows["write"],
+                         access_size=access_size)
+
+
 def parse_both(text, access_size=4):
-    fast = RecordedTrace.from_csv(io.StringIO(text), access_size=access_size,
-                                  vectorized=True)
-    slow = RecordedTrace.from_csv(io.StringIO(text), access_size=access_size,
-                                  vectorized=False)
-    return fast, slow
+    fast = RecordedTrace.from_csv(io.StringIO(text), access_size=access_size)
+    return fast, scalar_trace(text, access_size)
 
 
 EDGE_CASE_TEXTS = (
@@ -200,9 +208,9 @@ class TestVectorizedCsv:
     ])
     def test_short_row_error_identical(self, text):
         with pytest.raises(ProfilingError) as fast_err:
-            RecordedTrace.from_csv(io.StringIO(text), vectorized=True)
+            RecordedTrace.from_csv(io.StringIO(text))
         with pytest.raises(ProfilingError) as slow_err:
-            RecordedTrace.from_csv(io.StringIO(text), vectorized=False)
+            scalar_trace(text)
         assert str(fast_err.value) == str(slow_err.value)
 
     @pytest.mark.parametrize("text", [
@@ -213,22 +221,18 @@ class TestVectorizedCsv:
         "",                             # empty file
     ])
     def test_rejections_raise_same_type(self, text):
-        for vectorized in (True, False):
-            with pytest.raises(
-                    (ProfilingError, OverflowError, ValueError)) as err:
-                RecordedTrace.from_csv(io.StringIO(text),
-                                       vectorized=vectorized)
-            if vectorized:
-                first_type = type(err.value)
-            else:
-                assert type(err.value) is first_type
+        rejected = (ProfilingError, OverflowError, ValueError)
+        with pytest.raises(rejected) as fast_err:
+            RecordedTrace.from_csv(io.StringIO(text))
+        with pytest.raises(rejected) as slow_err:
+            scalar_trace(text)
+        assert type(fast_err.value) is type(slow_err.value)
 
     def test_injection_uses_scalar_path(self):
         text = "0,R\n4,W\n8,r\n"
-        clean = RecordedTrace.from_csv(io.StringIO(text), vectorized=False)
+        clean = scalar_trace(text)
         with inject_faults(FaultPlan(seed=0)):
-            injected = RecordedTrace.from_csv(io.StringIO(text),
-                                              vectorized=True)
+            injected = RecordedTrace.from_csv(io.StringIO(text))
         assert injected.offsets.tolist() == clean.offsets.tolist()
         assert injected.is_write.tolist() == clean.is_write.tolist()
 

@@ -34,11 +34,3 @@ def test_serve_rejects_unknown_fields(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "frobnicate" in err
 
-
-def test_serve_bench_smoke(tmp_path, capsys):
-    # the smallest meaningful self-drive: one window's worth of traffic
-    assert main(["serve", "--bench", "--requests", "6",
-                 "--cache-dir", str(tmp_path)]) == 0
-    out = capsys.readouterr().out
-    assert "Serve bench — 6 requests" in out
-    assert "coalesced:" in out and "speedup:" in out
