@@ -122,7 +122,7 @@ def run_reproduction_checks(
     )
 
     # --- Fig 7 ----------------------------------------------------------
-    raw = framework.suite.raw_results("xavier")
+    raw = framework.suite.raw_results(get_board("xavier"))
     fig7 = reference("fig7")
     checks.append(
         ReproductionCheck(

@@ -182,12 +182,11 @@ def cmd_tune(args: argparse.Namespace) -> str:
                       "surrogate (k-point probe)" if report.via_surrogate
                       else "full characterization (surrogate fell back)")
     text = table.render() + f"\n\nreason: {rec.reason}"
-    text += _write_tune_artifacts(args, framework)
+    text += _write_tune_artifacts(args, report)
     return text
 
 
-def _write_tune_artifacts(args: argparse.Namespace,
-                          framework: Framework) -> str:
+def _write_tune_artifacts(args: argparse.Namespace, report) -> str:
     """Write ``tune --trace`` / ``--report`` artifacts; footer lines."""
     import pathlib
 
@@ -198,14 +197,10 @@ def _write_tune_artifacts(args: argparse.Namespace,
         export.write_chrome_trace(args.trace)
         footer += f"\ntrace written to {args.trace}"
     if getattr(args, "report", None):
-        tune_report = framework.last_tune_report
-        if tune_report is None:
-            raise ReproError(
-                "the pipeline did not run Framework.tune, so there is "
-                "no tune report to write",
-                code="OBS_NO_TUNE_REPORT",
-            )
-        pathlib.Path(args.report).write_text(tune_report.to_json())
+        from repro.obs.report import TuneReport
+
+        pathlib.Path(args.report).write_text(
+            TuneReport.from_tuning(report).to_json())
         footer += f"\nreport written to {args.report}"
     return footer
 

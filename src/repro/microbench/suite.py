@@ -77,7 +77,7 @@ class MicrobenchmarkSuite:
         #: board that keeps its name but changes a timing field (a
         #: ``dataclasses.replace`` variant) is characterized afresh.
         self._cache: Dict[BoardConfig, DeviceCharacterization] = {}
-        self._raw: Dict[str, SuiteResults] = {}
+        self._raw: Dict[BoardConfig, SuiteResults] = {}
 
     def run_all(self, board: BoardConfig) -> SuiteResults:
         """Run MB1-MB3 on a fresh SoC for ``board``.
@@ -105,7 +105,7 @@ class MicrobenchmarkSuite:
             with obs.span("microbench.mb3", board=board.name):
                 third = self.third.run(soc)
         results = SuiteResults(first=first, second=second, third=third)
-        self._raw[board.name] = results
+        self._raw[board] = results
         return results
 
     def cache_signature(self) -> Dict[str, Any]:
@@ -332,9 +332,10 @@ class MicrobenchmarkSuite:
             zc_sc_max_speedup=max(1.0, results.first.zc_sc_kernel_ratio),
         )
 
-    def raw_results(self, board_name: str) -> Optional[SuiteResults]:
-        """Raw micro-benchmark results of the last run on a board."""
-        return self._raw.get(board_name)
+    def raw_results(self, board: BoardConfig) -> Optional[SuiteResults]:
+        """Raw micro-benchmark results of the last run on ``board``,
+        keyed like the memo: by the frozen board value, not its name."""
+        return self._raw.get(board)
 
     def probe_points(self, board: BoardConfig,
                      fractions: Sequence[float]) -> List["SweepPoint"]:

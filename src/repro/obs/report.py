@@ -6,8 +6,9 @@ counters, the cache-usage percentages, the thresholds the decision
 consulted, the zone it landed in, the raw-vs-capped speedup estimate,
 and the caveats/confidence of a degraded run — all pulled from the very
 objects the decision flow used, so the recorded intermediates exactly
-match the values behind the verdict.  ``repro tune --report out.json``
-serializes it; :meth:`TuneReport.from_json` round-trips it.
+match the values behind the verdict.  Build one from any answer with
+:meth:`TuneReport.from_tuning`; ``repro tune --report out.json``
+serializes it and :meth:`TuneReport.from_json` round-trips it.
 """
 
 from __future__ import annotations
@@ -64,13 +65,12 @@ class TuneReport:
     # ------------------------------------------------------------------
 
     @classmethod
-    def from_tuning(cls, report,
-                    timings_s: Optional[Mapping[str, float]] = None
-                    ) -> "TuneReport":
+    def from_tuning(cls, report) -> "TuneReport":
         """Build from a :class:`~repro.model.framework.TuningReport`.
 
-        Every value is read off the same profile/device/recommendation
-        objects the decision flow used — nothing is recomputed.
+        Every value (stage timings included) is read off the answer
+        itself — the same profile/device/recommendation objects the
+        decision flow used; nothing is recomputed.
         """
         rec = report.recommendation
         profile = (dataclasses.asdict(report.profile)
@@ -123,7 +123,7 @@ class TuneReport:
                 "suggests_switch": rec.suggests_switch,
             },
             estimate=estimate,
-            timings_s=dict(timings_s or {}),
+            timings_s=dict(report.timings_s),
         )
 
     # ------------------------------------------------------------------

@@ -57,7 +57,7 @@ def warm_store(boards: Sequence[str], cache_dir: str,
             obs.counter_inc("explore.warm_skip")
             continue
         suite.characterize(board)
-        if suite.raw_results(name) is not None:  # the suite actually ran
+        if suite.raw_results(board) is not None:  # the suite actually ran
             computed += 1
     return computed
 

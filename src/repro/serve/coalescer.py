@@ -35,8 +35,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ServeError
 from repro.kernels.workload import Workload
-from repro.model.decision import keep_current
-from repro.model.framework import TuningReport
+from repro.model.framework import TuningReport, conservative_report
 from repro.profiling.counters import AppProfile
 
 #: Default coalescing window: long enough to catch a concurrent burst,
@@ -324,17 +323,6 @@ def shed_report(request: TuneRequest, code: str, detail: str,
     sheds (overload, expired queue deadline) — same shape and caveat
     style as the framework's own degraded answers, so callers handle
     both identically."""
-    caveat = f"request shed — {code}: {detail}"
-    recommendation = keep_current(
-        request.current_model, caveat, caveats=[caveat], device=device,
-    )
-    return TuningReport(
-        workload_name=request.workload_name,
-        board_name=request.board,
-        current_model=request.current_model.upper(),
-        profile=None,
-        device=device,
-        cpu_cache_usage_pct=float("nan"),
-        gpu_cache_usage_pct=float("nan"),
-        recommendation=recommendation,
-    )
+    return conservative_report(request.workload_name, request.board,
+                               request.current_model,
+                               [f"request shed — {code}: {detail}"], device)

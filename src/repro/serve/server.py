@@ -111,15 +111,11 @@ class TuneServer:
     """
 
     def __init__(self, framework: Optional[Framework] = None,
-                 config: Optional[ServeConfig] = None,
-                 surrogate: Optional[Any] = None) -> None:
+                 config: Optional[ServeConfig] = None) -> None:
+        #: Shared by the dispatch threads; a framework never changes
+        #: after construction.  Its surrogate (if any) answers strict
+        #: batches on boards inside a known swept space.
         self.framework = framework if framework is not None else Framework()
-        #: Optional :class:`~repro.explore.surrogate.CharacterizationSurrogate`
-        #: consulted by every strict batch — boards inside a known swept
-        #: space are answered from probe points instead of a full
-        #: characterization.  Overrides the framework's own default.
-        self.surrogate = (surrogate if surrogate is not None
-                          else self.framework.surrogate)
         self.config = (config or ServeConfig()).validated()
         self.stats = ServeStats()
         self._coalescer = Coalescer(window_s=self.config.window_s,
@@ -407,7 +403,6 @@ class TuneServer:
             reports = self.framework.tune_many(
                 [job.workload for job in jobs], batch.board,
                 current_model=model, strict=strict,
-                surrogate=self.surrogate,
             )
             return [(report, None) for report in reports]
         except ReproError:
@@ -419,7 +414,7 @@ class TuneServer:
             try:
                 results.append((self.framework.tune(
                     job.workload, batch.board, current_model=model,
-                    strict=strict, surrogate=self.surrogate), None))
+                    strict=strict), None))
             except ReproError as error:
                 obs.event("serve.job_failed", code=error.code,
                           workload=job.items[0].request.workload_name)
@@ -429,17 +424,14 @@ class TuneServer:
 
 def serve_all(requests: Sequence[TuneRequest],
               framework: Optional[Framework] = None,
-              config: Optional[ServeConfig] = None,
-              surrogate: Optional[Any] = None) -> List[TuneAnswer]:
+              config: Optional[ServeConfig] = None) -> List[TuneAnswer]:
     """Convenience wrapper: serve a request list on a private loop.
 
     Submissions are concurrent (so the coalescer sees them in one
-    window); answers keep the input order.  ``surrogate`` enables the
-    probe-point fast path for boards inside a swept space.
+    window); answers keep the input order.
     """
     async def _run() -> List[TuneAnswer]:
-        async with TuneServer(framework, config,
-                              surrogate=surrogate) as server:
+        async with TuneServer(framework, config) as server:
             return await server.submit_many(requests)
 
     return asyncio.run(_run())

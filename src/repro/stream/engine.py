@@ -115,9 +115,12 @@ class FlipEvent:
     #: The :class:`~repro.model.framework.TuningReport` of the
     #: committing :meth:`Framework.retune` call.
     report: object
-    #: The serializable :class:`~repro.obs.report.TuneReport` captured
-    #: at the flip.
-    tune_report: Optional[TuneReport]
+
+    @property
+    def tune_report(self) -> TuneReport:
+        """The serializable explanation of the flip, built from its
+        own answer."""
+        return TuneReport.from_tuning(self.report)
 
     def to_dict(self) -> Dict[str, object]:
         rec = self.report.recommendation if self.report else None
@@ -309,8 +312,7 @@ class StreamTuner:
                   board=self.source.board_name, emission=emission,
                   from_model=from_model, to_model=to_model, drift=drift)
         return FlipEvent(emission=emission, from_model=from_model,
-                         to_model=to_model, drift=drift, report=report,
-                         tune_report=self.framework.last_tune_report)
+                         to_model=to_model, drift=drift, report=report)
 
 
 @dataclass(frozen=True)
@@ -486,5 +488,4 @@ class MultiAppStreamTuner:
                   board=source.board_name, emission=emission,
                   from_model=from_model, to_model=to_model, drift=False)
         return FlipEvent(emission=emission, from_model=from_model,
-                         to_model=to_model, drift=False, report=report,
-                         tune_report=self.framework.last_tune_report)
+                         to_model=to_model, drift=False, report=report)

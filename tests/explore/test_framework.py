@@ -137,6 +137,7 @@ class TestWarmStore:
 
 class TestServe:
     def test_surrogate_reaches_batched_tunes(self, surrogate, obs_registry):
+        from repro.model.framework import Framework
         from repro.serve import TuneRequest, serve_all
 
         # strict=True: serve's default degraded mode ignores the
@@ -146,7 +147,7 @@ class TestServe:
                          strict=True),
              TuneRequest(board="tx2", app="shwfs", tenant="b",
                          strict=True)],
-            surrogate=surrogate,
+            framework=Framework(surrogate=surrogate),
         )
         assert len(answers) == 2
         assert all(a.status == "ok" for a in answers)

@@ -52,7 +52,7 @@ class TestReadmeHeadlines:
 
     def test_mb3_row(self, framework, xavier_device):
         # README claims: +165 % / +184 % on Xavier.
-        raw = framework.suite.raw_results("xavier")
+        raw = framework.suite.raw_results(get_board("xavier"))
         assert raw.third.zc_faster_than("SC") == pytest.approx(165.0, abs=15.0)
         assert raw.third.zc_faster_than("UM") == pytest.approx(184.0, abs=15.0)
 

@@ -39,15 +39,26 @@ class TestCharacterization:
             b.zero_copy, gpu_zc_bandwidth=b.zero_copy.gpu_zc_bandwidth * 0.5)),
         lambda b: dataclasses.replace(b, cpu=dataclasses.replace(
             b.cpu, llc_bandwidth=b.cpu.llc_bandwidth * 2.0)),
-    ], ids=["dram-bandwidth", "zc-bandwidth", "cpu-llc-bandwidth"])
+        lambda b: dataclasses.replace(b, gpu=dataclasses.replace(
+            b.gpu, llc_bandwidth=b.gpu.llc_bandwidth * 0.5)),
+    ], ids=["dram-bandwidth", "zc-bandwidth", "cpu-llc-bandwidth",
+            "gpu-llc-bandwidth"])
     def test_replaced_board_keeps_name_but_not_memo(
             self, characterization_suite, tx2_device, derive):
-        variant = derive(get_board("tx2"))
+        preset = get_board("tx2")
+        variant = derive(preset)
         assert variant.name == "tx2"
         device = characterization_suite.characterize(variant)
         assert device == MicrobenchmarkSuite().characterize(variant)
         assert device != tx2_device
         assert characterization_suite.memoized(variant) is device
+        # The raw MB1-MB3 results are keyed like the memo: a later memo
+        # hit on the preset still reads the preset's own results.
+        assert characterization_suite.characterize(preset) is tx2_device
+        for board, expected in ((variant, device), (preset, tx2_device)):
+            raw = characterization_suite.raw_results(board)
+            assert raw.first.gpu_max_throughput == \
+                expected.gpu_cache_throughput
 
     def test_force_recomputes(self):
         suite = MicrobenchmarkSuite()
@@ -56,7 +67,7 @@ class TestCharacterization:
         assert a is not b
 
     def test_raw_results_stored(self, characterization_suite, tx2_device):
-        raw = characterization_suite.raw_results("tx2")
+        raw = characterization_suite.raw_results(get_board("tx2"))
         assert raw is not None
         assert raw.first.board_name == "tx2"
         assert raw.third.data_bytes == 2 ** 27 * 4

@@ -15,14 +15,12 @@ def _tune(suite, board_name="xavier"):
     board = get_board(board_name)
     tuning = framework.tune(ShwfsPipeline().workload(board_name=board.name),
                             board, current_model="SC")
-    return framework, tuning
+    return TuneReport.from_tuning(tuning), tuning
 
 
 class TestExactness:
     def test_intermediates_match_the_decision(self, characterization_suite):
-        framework, tuning = _tune(characterization_suite)
-        report = framework.last_tune_report
-        assert report is not None
+        report, tuning = _tune(characterization_suite)
         rec = tuning.recommendation
         # Every recorded intermediate equals the value the decision
         # actually consumed — nothing recomputed, nothing rounded.
@@ -44,8 +42,9 @@ class TestExactness:
             assert report.estimate["capped"] == rec.estimate.capped
 
     def test_timings_cover_every_stage(self, characterization_suite):
-        framework, _ = _tune(characterization_suite)
-        timings = framework.last_tune_report.timings_s
+        report, tuning = _tune(characterization_suite)
+        timings = report.timings_s
+        assert timings == tuning.timings_s
         assert set(timings) == {"characterize", "profile", "decide", "tune"}
         assert all(t >= 0.0 for t in timings.values())
         assert timings["tune"] >= timings["decide"]
@@ -53,14 +52,13 @@ class TestExactness:
 
 class TestSerialization:
     def test_json_round_trip(self, characterization_suite):
-        framework, _ = _tune(characterization_suite)
-        report = framework.last_tune_report
+        report, _ = _tune(characterization_suite)
         rebuilt = TuneReport.from_json(report.to_json())
         assert rebuilt == report
 
     def test_json_is_standard_and_stable(self, characterization_suite):
-        framework, _ = _tune(characterization_suite)
-        text = framework.last_tune_report.to_json()
+        report, _ = _tune(characterization_suite)
+        text = report.to_json()
         doc = json.loads(text)  # would reject NaN/Infinity literals
         assert doc["version"] == TUNE_REPORT_VERSION
         assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == text
@@ -82,7 +80,7 @@ class TestSerialization:
         finally:
             Framework.profile = original
         assert tuning.degraded
-        report = framework.last_tune_report
+        report = TuneReport.from_tuning(tuning)
         assert math.isnan(report.cpu_cache_usage_pct)
         doc = json.loads(report.to_json())
         assert doc["cpu_cache_usage_pct"] is None

@@ -170,7 +170,7 @@ def _stampede_worker(cache_dir, barrier, queue):
     barrier.wait(timeout=60)
     suite.characterize(get_board("tx2"))
     # raw results exist only when this process actually ran the suite
-    queue.put(suite.raw_results("tx2") is not None)
+    queue.put(suite.raw_results(get_board("tx2")) is not None)
 
 
 class TestStampedeProtection:

@@ -40,6 +40,12 @@ def warm_suite(tx2_board):
     return suite
 
 
+@pytest.fixture(scope="module")
+def tx2_profile(warm_suite, shwfs_workload_tx2, tx2_board):
+    """Measured SC counters of SHWFS on the TX2 (a retune's input)."""
+    return Framework(suite=warm_suite).profile(shwfs_workload_tx2, tx2_board)
+
+
 def _coded(caveats):
     return [code for caveat in caveats for code in CODE_RE.findall(caveat)]
 
@@ -149,3 +155,50 @@ class TestInjectedSeams:
                            for code in codes)
         assert rec.model is second.recommendation.model
         assert rec.caveats == second.recommendation.caveats
+
+
+@pytest.mark.fault
+@pytest.mark.parametrize("entry", ["tune", "retune"])
+class TestDegradedRetryBudget:
+    """Degraded ``tune`` and ``retune`` share one error policy, so both
+    characterize under the ``DEGRADED_CHARACTERIZE_RETRIES`` budget."""
+
+    def _answer(self, entry, failures, shwfs_workload_tx2, tx2_board,
+                tx2_profile, monkeypatch):
+        suite = MicrobenchmarkSuite()
+        real = suite._characterize_once
+        attempts = []
+
+        def flaky(board):
+            attempts.append(board.name)
+            if len(attempts) <= failures:
+                raise MicrobenchmarkError("sweep never converged",
+                                          code="MICROBENCH_FAILED")
+            return real(board)
+
+        monkeypatch.setattr(suite, "_characterize_once", flaky)
+        framework = Framework(suite=suite)
+        if entry == "tune":
+            report = framework.tune(shwfs_workload_tx2, tx2_board,
+                                    strict=False)
+        else:
+            report = framework.retune(tx2_profile, board=tx2_board,
+                                      strict=False)
+        return report, len(attempts)
+
+    def test_transient_failure_recovers(self, entry, shwfs_workload_tx2,
+                                        tx2_board, tx2_profile, monkeypatch):
+        report, attempts = self._answer(entry, 1, shwfs_workload_tx2,
+                                        tx2_board, tx2_profile, monkeypatch)
+        assert not report.degraded
+        assert attempts == 2
+
+    def test_exhausted_budget_is_coded(self, entry, shwfs_workload_tx2,
+                                       tx2_board, tx2_profile, monkeypatch):
+        budget = Framework.DEGRADED_CHARACTERIZE_RETRIES + 1
+        report, attempts = self._answer(entry, budget, shwfs_workload_tx2,
+                                        tx2_board, tx2_profile, monkeypatch)
+        assert report.recommendation.model is RecommendedModel.KEEP_CURRENT
+        assert "MICROBENCH_RETRIES_EXHAUSTED" in _coded(
+            report.recommendation.caveats)
+        assert attempts == budget

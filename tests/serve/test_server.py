@@ -25,9 +25,11 @@ WIDE = ServeConfig(window_s=0.1)
 
 
 def fingerprint(report):
-    """Bit-stable identity for a TuningReport (NaN-safe)."""
-    return json.dumps(dataclasses.asdict(report), sort_keys=True,
-                      default=str)
+    """Bit-stable identity for a TuningReport (NaN-safe); the stage
+    timings are wall-clock cost, not part of the answer."""
+    fields = dataclasses.asdict(report)
+    del fields["timings_s"]
+    return json.dumps(fields, sort_keys=True, default=str)
 
 
 @pytest.fixture(scope="module")
