@@ -26,12 +26,12 @@ def _time(fn):
 def test_vectorized_sweep_speedup(benchmark, archive, board_name):
     """Scalar per-point MB2 sweep vs the batch engine (>= 3x required)."""
     board = get_board(board_name)
-    fast = SecondMicroBenchmark(vectorized=True)
-    slow = SecondMicroBenchmark(vectorized=False)
-    fast.run(SoC(board))  # warm the import path before timing
+    bench = SecondMicroBenchmark()
+    bench.run(SoC(board))  # warm the import path before timing
 
-    t_fast = run_once(benchmark, lambda: _time(lambda: fast.run(SoC(board))))
-    t_slow = _time(lambda: slow.run(SoC(board)))
+    t_fast = run_once(benchmark, lambda: _time(lambda: bench.run(SoC(board))))
+    t_slow = _time(lambda: (bench._sweep_gpu(SoC(board)),
+                            bench._sweep_cpu(SoC(board))))
 
     table = Table(
         f"MB2 sweep wall-clock [{board_name}]",

@@ -58,17 +58,12 @@ class SecondMicroBenchmark(MicroBenchmark):
         fractions: Sequence[float] = DEFAULT_FRACTIONS,
         array_bytes: int = 4 * 1024 * 1024,
         sweep_repeats: int = SWEEP_REPEATS,
-        vectorized: bool = True,
     ) -> None:
         if not fractions:
             raise ValueError("the sweep needs at least one fraction")
         self.fractions = tuple(sorted(fractions))
         self.array_bytes = array_bytes
         self.sweep_repeats = sweep_repeats
-        #: Evaluate the sweep through the batch engine
-        #: (:mod:`repro.perf.batch`) when its closed forms apply; the
-        #: scalar per-point simulation remains the reference fallback.
-        self.vectorized = vectorized
 
     # ------------------------------------------------------------------
     # workload builders
@@ -169,7 +164,10 @@ class SecondMicroBenchmark(MicroBenchmark):
         return points
 
     def _sweep_vectorized(self, soc: SoC):
-        """Both sweeps through the batch engine, or ``(None, None)``.
+        """Both sweeps through the batch engine, or ``(None, None)``
+        when it cannot serve this SoC: a non-analytic backend or an
+        unsupported geometry (both raise :class:`BatchUnsupported`), or
+        an active fault injector.
 
         Imported lazily: :mod:`repro.perf` sits above the soc layer and
         below the microbenchmarks only at call time.
@@ -198,15 +196,12 @@ class SecondMicroBenchmark(MicroBenchmark):
         omitted, the largest SC throughput observed in the sweep is used
         (self-normalization).
 
-        With ``vectorized`` enabled the whole sweep is evaluated as one
-        batch on the analytic path (:mod:`repro.perf.batch`); an
-        unsupported geometry — or an active fault injector, whose
-        perturbations live in the scalar simulation seams — falls back
-        to the per-point sweep.
+        On the analytic backend the whole sweep is evaluated as one
+        batch (:mod:`repro.perf.batch`); another backend, an unsupported
+        geometry or an active fault injector (whose perturbations live
+        in the per-point simulation seams) runs the per-point sweep.
         """
-        gpu_points = cpu_points = None
-        if self.vectorized:
-            gpu_points, cpu_points = self._sweep_vectorized(soc)
+        gpu_points, cpu_points = self._sweep_vectorized(soc)
         if gpu_points is None:
             gpu_points = self._sweep_gpu(soc)
             cpu_points = self._sweep_cpu(soc)

@@ -152,7 +152,6 @@ class MicrobenchmarkSuite:
         self.cache.store(board, self.cache_signature(), device)
 
     def characterize(self, board: BoardConfig, force: bool = False,
-                     retries: int = 0,
                      retry_policy: Optional[RetryPolicy] = None
                      ) -> DeviceCharacterization:
         """Characterize ``board`` (memoized by board value).
@@ -166,13 +165,12 @@ class MicrobenchmarkSuite:
         processes), so a stampede of cold callers characterizes once.
 
         Retries are governed by a declarative
-        :class:`~repro.resilience.retry.RetryPolicy` — pass one as
-        ``retry_policy``, or use the legacy ``retries`` integer, which
-        maps to ``RetryPolicy.from_attempts(retries)`` (no backoff, all
-        codes retryable).  Each attempt re-runs the whole suite on a
-        fresh SoC — under fault injection the plan's RNG advances, so a
-        retry *is* a reseed of the perturbations; on clean hardware a
-        retry re-measures a noisy run.  With a multi-attempt budget the
+        :class:`~repro.resilience.retry.RetryPolicy` passed as
+        ``retry_policy`` (default: a single attempt).  Each attempt
+        re-runs the whole suite on a fresh SoC — under fault injection
+        the plan's RNG advances, so a retry *is* a reseed of the
+        perturbations; on clean hardware a retry re-measures a noisy
+        run.  With a multi-attempt budget the
         last error is re-raised as ``MICROBENCH_RETRIES_EXHAUSTED``,
         annotated with the attempt count.
         """
@@ -185,7 +183,7 @@ class MicrobenchmarkSuite:
             if persisted is not None:
                 self._cache[board] = persisted
                 return persisted
-        policy = retry_policy or RetryPolicy.from_attempts(retries)
+        policy = retry_policy or RetryPolicy(max_attempts=1)
         characterization = self._characterize_deduped(board, policy, force)
         self._cache[board] = characterization
         return characterization
@@ -307,8 +305,7 @@ class MicrobenchmarkSuite:
         if pending:
             runner = ParallelRunner(max_workers=max_workers, parallel=parallel)
             jobs = [
-                (board, self.cache_signature(), self.second.vectorized,
-                 self.backend)
+                (board, self.cache_signature(), self.backend)
                 for board in pending
             ]
             for board, device in zip(
@@ -342,31 +339,29 @@ class MicrobenchmarkSuite:
         """MB2's GPU sweep at just ``fractions`` — the surrogate's
         k-point reality probe (no MB1/MB3, no threshold analysis).
 
-        Runs through the batch engine's GPU side only when vectorized
-        evaluation is available; each sweep point is an independent
+        Runs the batch engine's GPU side when it can serve the board
+        (see :meth:`SecondMicroBenchmark._sweep_vectorized`), else the
+        per-point GPU sweep; each sweep point is an independent
         ZC-vs-SC measurement, so restricting the fractions yields the
         same values the full sweep would have produced at them.
         """
+        from repro.perf.batch import BatchUnsupported, mb2_gpu_points
         from repro.robustness.inject import injection_active
 
         bench = SecondMicroBenchmark(
             fractions=tuple(fractions),
             array_bytes=self.second.array_bytes,
             sweep_repeats=self.second.sweep_repeats,
-            vectorized=self.second.vectorized,
         )
         soc = SoC(board, backend=self.backend)
         with obs.span("microbench.probe", board=board.name,
                       points=len(bench.fractions)):
             points = None
-            if bench.vectorized and not injection_active():
-                from repro.perf.batch import (
-                    BatchUnsupported,
-                    vectorized_second_sweep,
-                )
+            if not injection_active():
                 try:
-                    points, _ = vectorized_second_sweep(
-                        bench, soc, sides=("gpu",))
+                    points = mb2_gpu_points(soc, bench.fractions,
+                                            bench.array_bytes,
+                                            bench.sweep_repeats)
                 except BatchUnsupported:
                     points = None
             if points is None:
@@ -380,10 +375,10 @@ def _characterize_worker(job) -> DeviceCharacterization:
     Module-level (picklable); rebuilds an equivalent suite from the
     signature so the parent's suite object stays in the parent.
     """
-    board, signature, vectorized, backend = job
+    board, signature, backend = job
     suite = MicrobenchmarkSuite(
         first=FirstMicroBenchmark(**signature["first"]),
-        second=SecondMicroBenchmark(vectorized=vectorized, **signature["second"]),
+        second=SecondMicroBenchmark(**signature["second"]),
         third=ThirdMicroBenchmark(**signature["third"]),
         backend=backend,
     )

@@ -17,7 +17,7 @@ From the SC/UM/ZC runtimes the device-level ``SC/ZC_Max_speedup``
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.comm.base import get_model
 from repro.kernels.ops import OpMix
@@ -92,18 +92,13 @@ class ThirdMicroBenchmark(MicroBenchmark):
     name = "third (overlap / max speedup)"
 
     def __init__(self, num_elements: int = DEFAULT_ELEMENTS,
-                 cpu_balance: float = 1.0,
-                 vectorized: bool = True) -> None:
+                 cpu_balance: float = 1.0) -> None:
         if num_elements < 1024:
             raise ValueError("the data set must hold at least 1024 elements")
         if cpu_balance <= 0:
             raise ValueError("cpu_balance must be positive")
         self.num_elements = num_elements
         self.cpu_balance = cpu_balance
-        #: Evaluate :meth:`balance_sweep` through the batch engine
-        #: (:mod:`repro.perf.batch`); the scalar per-balance run remains
-        #: the reference fallback.
-        self.vectorized = vectorized
 
     def build_workload(self, soc: SoC) -> Workload:
         """Balanced cache-independent workload for ``soc``'s board."""
@@ -168,52 +163,20 @@ class ThirdMicroBenchmark(MicroBenchmark):
     # balance sweep
     # ------------------------------------------------------------------
 
-    def _balance_sweep_vectorized(
-        self, soc: SoC, balances: Sequence[float]
-    ) -> Optional[List[ThirdBenchResult]]:
-        """The sweep through the batch engine, or ``None``.
-
-        Imported lazily: :mod:`repro.perf` sits above the soc layer and
-        below the microbenchmarks only at call time.
-        """
-        from repro.perf.batch import BatchUnsupported, mb3_balance_results
-        from repro.robustness.inject import injection_active
-
-        if injection_active():
-            # Fault plans patch the scalar simulation seams; the batch
-            # engine would compute around them.
-            return None
-        try:
-            return mb3_balance_results(self, soc, balances)
-        except BatchUnsupported:
-            return None
-
     def balance_sweep(
         self, soc: SoC, balances: Sequence[float] = DEFAULT_BALANCES
     ) -> BalanceSweepResult:
-        """Run MB3 across a sweep of CPU balance factors.
-
-        Only the CPU task's compute demand varies across the sweep, so
-        with ``vectorized`` enabled the three models execute once and
-        the CPU phase is re-evaluated for all balances in one
-        ``run_batch`` call; the scalar per-balance run is the reference
-        fallback (and the only path under fault injection).
-        """
+        """Run MB3 once per CPU balance factor (sorted, deduplicated)."""
         if not balances:
             raise ValueError("the balance sweep needs at least one point")
         if any(b <= 0 for b in balances):
             raise ValueError("balance factors must be positive")
         ordered = tuple(sorted(set(balances)))
-        results = None
-        if self.vectorized:
-            results = self._balance_sweep_vectorized(soc, ordered)
-        if results is None:
-            results = [
-                type(self)(self.num_elements, balance).run(soc)
-                for balance in ordered
-            ]
         return BalanceSweepResult(
             board_name=soc.board.name,
             balances=ordered,
-            results=tuple(results),
+            results=tuple(
+                type(self)(self.num_elements, balance).run(soc)
+                for balance in ordered
+            ),
         )

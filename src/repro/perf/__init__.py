@@ -3,7 +3,7 @@
 Three orthogonal speedups for the characterize-once / tune-many
 workflow:
 
-- :mod:`repro.perf.batch` — the micro-benchmark sweeps as closed-form
+- :mod:`repro.perf.batch` — MB2's fraction sweep as closed-form
   :class:`~repro.soc.analytic.SummaryBatch` evaluations (one NumPy
   batch instead of one simulated stream per point);
 - :mod:`repro.perf.parallel` — ordered process-pool ``map`` with a
@@ -23,10 +23,8 @@ the microbench → perf import edge acyclic.)
 
 from repro.perf.batch import (
     BatchUnsupported,
-    mb1_gpu_size_sweep,
     mb2_cpu_points,
     mb2_gpu_points,
-    mb3_balance_results,
     vectorized_second_sweep,
 )
 from repro.perf.cache import (
@@ -43,10 +41,8 @@ from repro.perf.parallel import ParallelRunner
 
 __all__ = [
     "BatchUnsupported",
-    "mb1_gpu_size_sweep",
     "mb2_cpu_points",
     "mb2_gpu_points",
-    "mb3_balance_results",
     "vectorized_second_sweep",
     "CharacterizationCache",
     "ShardedCharacterizationStore",

@@ -1,6 +1,6 @@
-"""Vectorized sweep engine for the micro-benchmark hot paths.
+"""Batch engine for MB2's fraction sweep.
 
-The scalar micro-benchmark sweeps build one materialized
+The per-point MB2 sweep builds one materialized
 :class:`~repro.soc.stream.AccessStream` per point, coalesce it
 address by address and walk it through the hierarchy.  For the paper's
 fraction sweep every point has the same *shape* — a read-write-pair
@@ -14,27 +14,23 @@ The closed forms only hold for the geometries the micro-benchmarks
 actually use (element size divides the line size, warp footprints
 align with lines, buffers at the default 128-byte alignment).  Any
 other geometry raises :class:`BatchUnsupported` and the caller falls
-back to the exact scalar sweep.
+back to the per-point sweep.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import SimulationError
 from repro.soc.address import DEFAULT_ALIGNMENT
-from repro.soc.analytic import StreamSummary, SummaryBatch, supports
-from repro.soc.gpu import coalesce_stream
-from repro.soc.cpu import _stream_is_pinned as _cpu_stream_is_pinned
+from repro.soc.analytic import SummaryBatch
 from repro.soc.soc import SoC
-from repro.soc.stream import AccessStream, PatternKind
+from repro.soc.stream import PatternKind
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.microbench.second import SecondMicroBenchmark
-    from repro.microbench.third import ThirdBenchResult, ThirdMicroBenchmark
     from repro.model.thresholds import SweepPoint
 
 
@@ -93,26 +89,6 @@ def coalesced_rw_pair_transactions(
     lines_full = _ceil_div(full_warps * warp_bytes, line_size)
     lines_rem = _ceil_div(remainder * element_size, line_size)
     return 2 * (lines_full + lines_rem)
-
-
-def coalesced_linear_read_transactions(
-    counts: np.ndarray, element_size: int, line_size: int, warp_size: int
-) -> np.ndarray:
-    """Coalesced transactions of a read-only linear pass over ``counts``
-    consecutive elements (one ``ld.global`` each)."""
-    _require(element_size > 0 and line_size % element_size == 0,
-             "element size must divide the cache line size")
-    _require(DEFAULT_ALIGNMENT % line_size == 0,
-             "buffer alignment must be a multiple of the line size")
-    warp_bytes = warp_size * element_size
-    _require(warp_bytes % line_size == 0 or line_size % warp_bytes == 0,
-             "warp footprint must tile the cache line size")
-    counts = np.asarray(counts, dtype=np.int64)
-    full_warps = counts // warp_size
-    remainder = counts % warp_size
-    lines_full = _ceil_div(full_warps * warp_bytes, line_size)
-    lines_rem = _ceil_div(remainder * element_size, line_size)
-    return lines_full + lines_rem
 
 
 # ----------------------------------------------------------------------
@@ -232,236 +208,8 @@ def _assemble_points(point_cls, fractions, sc, zc):
 
 
 def vectorized_second_sweep(
-    bench: "SecondMicroBenchmark",
-    soc: SoC,
-    sides: Tuple[str, ...] = ("gpu", "cpu"),
+    bench: "SecondMicroBenchmark", soc: SoC
 ) -> Tuple[List["SweepPoint"], List["SweepPoint"]]:
-    """MB2 sweeps of ``bench`` on ``soc`` via the batch engine.
-
-    ``sides`` restricts the work: the surrogate's k-point probe only
-    needs the GPU sweep, and skipping the CPU side halves its cost.  A
-    skipped side returns an empty point list.
-    """
-    gpu_points: List["SweepPoint"] = []
-    cpu_points: List["SweepPoint"] = []
-    if "gpu" in sides:
-        gpu_points = mb2_gpu_points(
-            soc, bench.fractions, bench.array_bytes, bench.sweep_repeats
-        )
-    if "cpu" in sides:
-        cpu_points = mb2_cpu_points(
-            soc, bench.fractions, bench.array_bytes, bench.sweep_repeats
-        )
-    return gpu_points, cpu_points
-
-
-# ----------------------------------------------------------------------
-# MB1: the matrix-size sweep
-# ----------------------------------------------------------------------
-
-
-def mb1_gpu_size_sweep(
-    soc: SoC,
-    llc_fractions: Sequence[float],
-    sweep_repeats: int = 16,
-):
-    """SC kernel times of MB1's 2D-reduction at several matrix sizes.
-
-    One batch evaluation over the LLC fractions (MB1 proper uses 0.5);
-    returns a :class:`~repro.soc.phase.BatchPhaseResult` whose rows
-    align with ``llc_fractions``.
-    """
-    _require_analytic(soc)
-    element_size = 4
-    llc_bytes = soc.board.gpu.llc.size_bytes
-    counts = np.array(
-        [
-            max(1024, int(llc_bytes * fraction) // element_size)
-            for fraction in llc_fractions
-        ],
-        dtype=np.int64,
-    )
-    line = soc.gpu.config.l1.line_size
-    per_pass = coalesced_linear_read_transactions(
-        counts, element_size, line, soc.gpu.config.warp_size
-    )
-    footprint = _ceil_div(counts * element_size, line) * line
-    batch = SummaryBatch.build(
-        pattern=PatternKind.LINEAR,
-        per_pass=per_pass,
-        repeats=sweep_repeats,
-        footprint_bytes=footprint,
-        write_fraction=0.0,
-        transaction_size=line,
-    )
-    flops = counts.astype(np.float64) * sweep_repeats
-    return soc.gpu.run_batch(flops, batch)
-
-
-# ----------------------------------------------------------------------
-# MB3: the balanced-workload sweep
-# ----------------------------------------------------------------------
-#
-# Across a balance sweep only the CPU task's compute demand changes;
-# the memory streams, the GPU kernel, the copies/flushes/migrations and
-# the board are identical at every point.  So the three models are
-# executed once at a reference balance, the CPU phase is re-evaluated
-# for all balances in one ``run_batch`` call, and each model's steady
-# iteration is recomposed around the new CPU time (the ZC overlap is
-# re-simulated per balance — it is a cheap event simulation, the costly
-# part is the hierarchy walk that run_batch amortizes).
-
-
-def _identical_summary_batch(stream: AccessStream, n: int) -> SummaryBatch:
-    """``n`` copies of one stream's analytic summary as a batch."""
-    _require(stream.is_virtual, "the CPU stream must be virtual (analytic)")
-    _require(supports(stream.pattern),
-             f"no analytic estimator for pattern {stream.pattern.name}")
-    summary = StreamSummary.from_stream(stream)
-    return SummaryBatch.build(
-        pattern=summary.pattern,
-        per_pass=np.full(n, summary.per_pass, dtype=np.int64),
-        repeats=summary.repeats,
-        footprint_bytes=summary.footprint_bytes,
-        write_fraction=summary.write_fraction,
-        transaction_size=summary.transaction_size,
-    )
-
-
-def mb3_balance_results(
-    bench: "ThirdMicroBenchmark", soc: SoC, balances: Sequence[float]
-) -> List["ThirdBenchResult"]:
-    """MB3 at every CPU balance via one batched CPU-phase evaluation.
-
-    Equivalent to ``[ThirdMicroBenchmark(n, b).run(soc) for b in
-    balances]`` — the recomposition is validated against the scalar
-    reference at ``balances[0]`` and raises :class:`BatchUnsupported`
-    on any divergence (the caller then falls back to the scalar sweep).
-    """
-    from repro.comm.base import get_model
-    from repro.comm.tiling import TiledZeroCopyPattern, TilingPlan
-    from repro.comm.zero_copy import ZeroCopyModel
-    from repro.microbench.third import ThirdBenchResult
-    from repro.soc.soc import ALL_MODELS
-
-    _require_analytic(soc)
-    balances = list(balances)
-    _require(len(balances) > 0, "the balance sweep needs at least one point")
-
-    def bench_at(balance: float):
-        return type(bench)(bench.num_elements, balance)
-
-    workload = bench_at(balances[0]).build_workload(soc)
-    _require(workload.cpu_task is not None and workload.gpu_kernel is not None,
-             "MB3 batching needs both a CPU task and a GPU kernel")
-    # Everything except the CPU compute demand must be balance-invariant.
-    other = bench_at(balances[-1]).build_workload(soc)
-    _require(replace(workload, cpu_task=None) == replace(other, cpu_task=None),
-             "the workload varies beyond the CPU task across balances")
-    _require(replace(workload.cpu_task, ops=other.cpu_task.ops)
-             == other.cpu_task,
-             "the CPU task varies beyond its compute ops across balances")
-
-    reports = {
-        model: get_model(model).execute(workload, soc)
-        for model in ALL_MODELS
-    }
-
-    zc_model = ZeroCopyModel()
-    placed = zc_model.place(workload, soc)
-    streams = workload.cpu_task.build_streams(
-        placed.cpu_buffers, soc.board.cpu.l1.line_size
-    )
-    _require(len(streams) == 1, "MB3 batching handles one CPU stream")
-    stream = streams[0]
-    batch = _identical_summary_batch(stream, len(balances))
-    cycles = np.array(
-        [bench_at(b).build_workload(soc).cpu_task.compute_cycles()
-         for b in balances],
-        dtype=np.float64,
-    )
-
-    cached = soc.cpu.run_batch(cycles, batch)
-    zc_cfg = soc.board.zero_copy
-    if zc_cfg.cpu_llc_disabled and zc_cfg.cpu_zc_bandwidth > 0 \
-            and _cpu_stream_is_pinned(stream):
-        uncached = soc.cpu.run_batch(
-            cycles,
-            batch,
-            uncached_bandwidth=zc_cfg.cpu_zc_bandwidth,
-            uncached_latency_s=zc_cfg.cpu_uncached_latency_s,
-        )
-    else:
-        uncached = cached
-    cpu_times = {"SC": cached, "UM": cached, "ZC": uncached}
-
-    # The batch rows must land exactly on the scalar phases measured at
-    # the reference balance — otherwise the recomposition is unsound.
-    for model in ALL_MODELS:
-        _require(
-            float(cpu_times[model].time_s[0]) == reports[model].cpu_time_s,
-            f"batched CPU phase diverged from the {model} reference",
-        )
-
-    zc_report = reports["ZC"]
-    plan: Optional[TilingPlan] = None
-    if zc_report.steady_iteration.is_overlapped:
-        shared = workload.shared_buffers
-        plan_buffer = max(shared, key=lambda b: b.size_bytes) if shared \
-            else max(workload.buffers, key=lambda b: b.size_bytes)
-        plan = TilingPlan.for_buffer(plan_buffer, soc.board)
-        cpu_bw, gpu_bw = zc_model._fabric_bandwidths(soc)
-        gpu_job = ZeroCopyModel._job_from_phase(
-            zc_report.gpu_phase, gpu_bw, overlap=True
-        )
-
-    results: List[ThirdBenchResult] = []
-    data_bytes = workload.buffer("data").size_bytes
-    for i in range(len(balances)):
-        totals, kernels, cpus, copies = {}, {}, {}, {}
-        for model in ALL_MODELS:
-            report = reports[model]
-            cpu_time = float(cpu_times[model].time_s[i])
-            steady = replace(report.steady_iteration, cpu_time_s=cpu_time)
-            if model == "ZC" and plan is not None:
-                cpu_phase = replace(
-                    report.cpu_phase,
-                    compute_time_s=float(cpu_times[model].compute_time_s[i]),
-                    memory_time_s=float(cpu_times[model].memory_time_s[i]),
-                    time_s=cpu_time,
-                )
-                execution = TiledZeroCopyPattern(plan).overlapped_execution(
-                    ZeroCopyModel._job_from_phase(
-                        cpu_phase, cpu_bw, overlap=False
-                    ),
-                    gpu_job,
-                    soc.board.interconnect,
-                )
-                steady = replace(
-                    steady,
-                    sync_overhead_s=execution.sync_overhead_s,
-                    overlapped_time_s=execution.overlapped_time_s,
-                )
-            totals[model] = steady.total_s
-            kernels[model] = steady.kernel_time_s
-            cpus[model] = steady.cpu_time_s
-            copies[model] = steady.copy_time_s + steady.migration_time_s
-        results.append(
-            ThirdBenchResult(
-                board_name=soc.board.name,
-                data_bytes=data_bytes,
-                total_times=totals,
-                kernel_times=kernels,
-                cpu_times=cpus,
-                copy_times=copies,
-            )
-        )
-
-    # End-to-end self-check at the reference balance.
-    for model in ALL_MODELS:
-        _require(
-            results[0].total_times[model]
-            == reports[model].time_per_iteration_s,
-            f"recomposed {model} iteration diverged from the reference",
-        )
-    return results
+    """MB2's GPU and CPU sweeps of ``bench`` on ``soc`` via the batch engine."""
+    args = (bench.fractions, bench.array_bytes, bench.sweep_repeats)
+    return mb2_gpu_points(soc, *args), mb2_cpu_points(soc, *args)

@@ -28,8 +28,12 @@ wall-clock cap (a hang), or the post-run clean guard validation
 failing (fault state leaked past the injection scope).
 
 Determinism: schedule ``i`` of ``run_chaos(seed=s)`` is a pure
-function of ``(s, i)`` — same seed, same schedules, same
-classification (wall-clock measurements aside).
+function of ``(s, i)``, and so is its classification.  The deadline
+and the circuit breakers of a schedule read a :class:`LogicalClock`
+seeded by ``(s, i)`` that advances on every reading instead of with
+the wall clock, so whether a budget expires mid-run does not depend on
+how fast the host is.  ``wall_s``, the hang cap and the
+deadline-overshoot check stay on wall time.
 """
 
 from __future__ import annotations
@@ -53,12 +57,36 @@ _CODE_RE = re.compile(r"\b[A-Z][A-Z0-9]*(?:_[A-Z0-9]+)+\b")
 #: classified as a hang regardless of its other outcomes.
 HANG_CAP_S = 30.0
 
+#: Mean logical seconds one clock reading advances a schedule's
+#: clock.  A tune_many run reads it ~10–30 times (its checkpoints) and
+#: takes ~1–2 s of wall time on a 2-vCPU host, so logical budgets
+#: expire at about the stage they would expire at in real time.
+LOGICAL_STEP_S = 0.1
+
 #: Cooperative-deadline grace: the longest non-checkpointed stretch a
 #: bounded run may overshoot its budget by (one micro-benchmark or one
 #: hang-fault tick loop), padded for noisy shared hosts — a loaded CI
 #: runner can double every stretch, and the point of this check is
 #: catching unbounded blocking, not scheduling jitter.
 DEADLINE_GRACE_S = 5.0
+
+
+class LogicalClock:
+    """A seeded stand-in for ``time.monotonic`` that ticks per reading.
+
+    Each call advances the clock by a step drawn uniformly from
+    ``[0.5, 1.5] * LOGICAL_STEP_S`` and returns the new time.  The
+    pipeline reads its deadline's clock at every checkpoint, so elapsed
+    time is a pure function of the seed and of the checkpoints passed.
+    """
+
+    def __init__(self, seed: str) -> None:
+        self._rng = random.Random(seed)
+        self._now = 0.0
+
+    def __call__(self) -> float:
+        self._now += self._rng.uniform(0.5, 1.5) * LOGICAL_STEP_S
+        return self._now
 
 
 @dataclass(frozen=True)
@@ -281,7 +309,9 @@ def run_schedule(schedule: ChaosSchedule,
 
     board = get_board(schedule.board_name)
     workloads = [_workload(app, board.name) for app in schedule.apps]
-    breakers = (BreakerRegistry(failure_threshold=schedule.breaker_threshold)
+    clock = LogicalClock(f"repro-chaos-clock:{schedule.seed}:{schedule.index}")
+    breakers = (BreakerRegistry(failure_threshold=schedule.breaker_threshold,
+                                clock=clock)
                 if schedule.breaker_threshold else None)
     framework = Framework(
         suite=MicrobenchmarkSuite(),  # fresh; no persistent cache
@@ -294,7 +324,7 @@ def run_schedule(schedule: ChaosSchedule,
                            kinds=list(FaultKind))
     outcome = ChaosOutcome(schedule=schedule, status="clean", wall_s=0.0)
     start = time.monotonic()
-    deadline = (Deadline.after(schedule.deadline_s)
+    deadline = (Deadline.after(schedule.deadline_s, clock=clock)
                 if schedule.deadline_s is not None else None)
     injector = None
     try:

@@ -74,6 +74,10 @@ class Deadline:
         """A deadline ``budget_s`` seconds from now."""
         return cls(budget_s, clock=clock)
 
+    def now(self) -> float:
+        """A reading of this deadline's clock."""
+        return self._clock()
+
     def elapsed_s(self) -> float:
         """Seconds since the deadline started."""
         return self._clock() - self._start
@@ -155,6 +159,17 @@ def remaining_s() -> Optional[float]:
     return deadline.remaining_s() if deadline is not None else None
 
 
+def now() -> float:
+    """A reading of the ambient deadline's clock, or ``time.monotonic()``.
+
+    Waits that checkpoint against the deadline measure themselves on
+    this clock, so a deadline driven by a logical clock (the chaos soak)
+    sees the same elapsed time however fast the host runs.
+    """
+    deadline = _ACTIVE.get()
+    return deadline.now() if deadline is not None else time.monotonic()
+
+
 def sleep_cooperatively(duration_s: float, stage: str,
                         tick_s: float = 0.005) -> None:
     """Sleep ``duration_s`` in small ticks, checkpointing between them.
@@ -162,12 +177,13 @@ def sleep_cooperatively(duration_s: float, stage: str,
     This is how injected delay faults (and any long in-process wait)
     stay observable by the deadline layer: a sleep longer than the
     remaining budget raises ``DEADLINE_EXCEEDED`` at the next tick
-    instead of overshooting.
+    instead of overshooting.  The duration is measured on the ambient
+    deadline's clock (:func:`now`).
     """
-    end = time.monotonic() + max(0.0, duration_s)
+    end = now() + max(0.0, duration_s)
     while True:
         checkpoint(stage)
-        left = end - time.monotonic()
+        left = end - now()
         if left <= 0:
             return
         time.sleep(min(tick_s, left))

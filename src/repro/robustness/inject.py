@@ -231,6 +231,7 @@ class FaultInjector:
         """
         from repro.resilience.deadline import (
             checkpoint,
+            now,
             sleep_cooperatively,
         )
 
@@ -247,11 +248,12 @@ class FaultInjector:
                     FaultKind.STAGE_HANG, f"stage.{stage}",
                     f"{stage} hung (safety cap {spec.magnitude:.1f}s)",
                 )
-                start = time.monotonic()
+                # The safety cap runs on the ambient deadline's clock.
+                start = now()
                 while True:
                     # An active deadline raises DEADLINE_EXCEEDED here.
                     checkpoint(f"fault.hang.{stage}")
-                    if time.monotonic() - start >= spec.magnitude:
+                    if now() - start >= spec.magnitude:
                         raise SimulationError(
                             f"injected hang at stage {stage!r} ran "
                             f"unbounded for {spec.magnitude:.1f}s with no "

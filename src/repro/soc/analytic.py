@@ -14,15 +14,23 @@ behaviour has a well-known closed form:
 - a distinct-line random walk misses everywhere (until the footprint
   fits and the pass repeats).
 
-These estimators are cross-validated against the exact simulator in
+Exact vs analytic
+-----------------
+
+Each closed form exists once, over a :class:`SummaryBatch` — N stream
+summaries sharing one pattern, as parallel arrays.  A single stream is
+a batch of one (:meth:`SummaryBatch.from_stream`), so the hierarchy's
+per-stream analytic path and the micro-benchmark sweeps
+(:mod:`repro.perf.batch`) run the same arithmetic.  The estimators are
+cross-validated against the exact LRU simulator in
 ``tests/soc/test_analytic.py`` — that validation tolerance is the
-contract letting the benchmarks trust the fast path.
+contract letting the benchmarks trust the closed forms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import List
 
 import numpy as np
 
@@ -53,268 +61,14 @@ def supports(pattern: PatternKind) -> bool:
 
 
 @dataclass(frozen=True)
-class StreamSummary:
-    """The shape parameters the estimators need, without addresses.
+class SummaryBatch:
+    """N stream summaries sharing one pattern, as parallel arrays.
 
     Summaries chain: the miss traffic one cache level emits is itself a
-    summary (see :func:`derive_miss_summary`), which is how the
-    hierarchy estimates multi-level behaviour without materializing
+    batch of summaries (see :func:`derive_miss_batches`), which is how
+    the hierarchy estimates multi-level behaviour without materializing
     intermediate traces.
     """
-
-    pattern: PatternKind
-    per_pass: int
-    repeats: int
-    footprint_bytes: int
-    write_fraction: float
-    transaction_size: int
-
-    @classmethod
-    def from_stream(cls, stream: AccessStream) -> "StreamSummary":
-        """Summarize a materialized :class:`AccessStream`."""
-        return cls(
-            pattern=stream.pattern,
-            per_pass=stream.transactions_per_pass,
-            repeats=stream.repeats,
-            footprint_bytes=stream.footprint_bytes or 0,
-            write_fraction=stream.write_fraction,
-            transaction_size=stream.transaction_size,
-        )
-
-    @property
-    def total(self) -> int:
-        """Transactions across all replays."""
-        return self.per_pass * self.repeats
-
-    @property
-    def total_bytes(self) -> int:
-        """Bytes moved across all replays."""
-        return self.total * self.transaction_size
-
-
-@dataclass(frozen=True)
-class LevelEstimate:
-    """Estimated behaviour of one cache level for one stream.
-
-    Counts are totals across every replay.  ``cold_misses`` and
-    ``warm_misses_per_pass`` decompose the total so the next level's
-    incoming traffic can be derived.
-    """
-
-    accesses: int
-    hits: int
-    misses: int
-    writeback_lines: int
-    cold_misses: int
-    warm_misses_per_pass: int
-
-    @property
-    def hit_rate(self) -> float:
-        """Hits over accesses (0 when idle)."""
-        return self.hits / self.accesses if self.accesses else 0.0
-
-    @property
-    def miss_rate(self) -> float:
-        """Misses over accesses (0 when idle)."""
-        return self.misses / self.accesses if self.accesses else 0.0
-
-
-def _estimate_disabled(summary: StreamSummary) -> LevelEstimate:
-    total = summary.total
-    return LevelEstimate(
-        accesses=total,
-        hits=0,
-        misses=total,
-        writeback_lines=0,
-        cold_misses=summary.per_pass,
-        warm_misses_per_pass=summary.per_pass,
-    )
-
-
-def _estimate_single_address(summary: StreamSummary, cold_start: bool) -> LevelEstimate:
-    total = summary.total
-    misses = 1 if cold_start else 0
-    return LevelEstimate(
-        accesses=total,
-        hits=total - misses,
-        misses=misses,
-        writeback_lines=0,
-        cold_misses=misses,
-        warm_misses_per_pass=0,
-    )
-
-
-def _estimate_sparse(
-    summary: StreamSummary, config: CacheConfig, cold_start: bool
-) -> LevelEstimate:
-    total = summary.total
-    footprint = summary.footprint_bytes
-    lines = -(-footprint // config.line_size) if footprint else 0
-    fits = footprint <= config.size_bytes * CAPACITY_FACTOR
-    if fits:
-        cold = min(summary.per_pass, lines) if cold_start else 0
-        misses = cold
-        warm = 0
-        writebacks = 0
-    else:
-        misses = total
-        cold = summary.per_pass
-        warm = summary.per_pass
-        writebacks = (
-            int(total * summary.write_fraction) if config.write_back else 0
-        )
-    return LevelEstimate(
-        accesses=total,
-        hits=total - misses,
-        misses=misses,
-        writeback_lines=writebacks,
-        cold_misses=cold,
-        warm_misses_per_pass=warm,
-    )
-
-
-def _estimate_sweep(
-    summary: StreamSummary, config: CacheConfig, cold_start: bool
-) -> LevelEstimate:
-    total = summary.total
-    footprint = summary.footprint_bytes
-    lines = min(summary.per_pass, max(1, -(-footprint // config.line_size))) \
-        if footprint else 0
-    has_writes = summary.write_fraction > 0.0 and config.write_back
-
-    # A sequential sweep spreads its lines uniformly over the sets.
-    # A set holding more lines than its ways thrashes under true LRU
-    # (every one of its lines misses every pass); a set within its ways
-    # keeps them all resident after the cold pass.  Near the capacity
-    # boundary only the ceil-loaded sets thrash — the exact simulator
-    # confirms this per-set granularity.
-    sets = config.num_sets
-    ways = config.ways
-    floor_lines = lines // sets
-    overfull_sets = lines % sets
-    if floor_lines + (1 if overfull_sets else 0) <= ways:
-        thrashing_lines = 0
-        thrashing_sets = 0
-    elif floor_lines > ways:
-        thrashing_lines = lines
-        thrashing_sets = sets
-    else:  # floor_lines == ways and some sets hold ways + 1 lines
-        thrashing_lines = overfull_sets * (floor_lines + 1)
-        thrashing_sets = overfull_sets
-
-    cold = lines if cold_start else thrashing_lines
-    warm = thrashing_lines
-    misses = cold + warm * (summary.repeats - 1)
-    if has_writes and thrashing_lines:
-        # Each thrashing dirty line is evicted before reuse; the lines
-        # still resident in the thrashing sets when the run ends (ways
-        # per set) are flushed later, not written back here.
-        resident_at_end = thrashing_sets * ways
-        writebacks = max(
-            0, thrashing_lines * summary.repeats - resident_at_end
-        )
-    else:
-        writebacks = 0
-    misses = min(misses, total)
-    return LevelEstimate(
-        accesses=total,
-        hits=total - misses,
-        misses=misses,
-        writeback_lines=writebacks,
-        cold_misses=cold,
-        warm_misses_per_pass=warm,
-    )
-
-
-def estimate_level(
-    summary: StreamSummary,
-    config: CacheConfig,
-    enabled: bool = True,
-    cold_start: bool = True,
-) -> LevelEstimate:
-    """Estimate one cache level's response to a stream summary."""
-    if summary.total == 0:
-        # An idle stream is idle regardless of its pattern tag — empty
-        # CUSTOM streams (a task with no memory pattern) must not trip
-        # the supported-pattern check below.
-        return LevelEstimate(0, 0, 0, 0, 0, 0)
-    if not supports(summary.pattern):
-        raise SimulationError(
-            f"analytic estimator does not support pattern {summary.pattern}"
-        )
-    if not enabled:
-        return _estimate_disabled(summary)
-    if summary.pattern is PatternKind.SINGLE_ADDRESS:
-        return _estimate_single_address(summary, cold_start)
-    if summary.pattern is PatternKind.SPARSE:
-        return _estimate_sparse(summary, config, cold_start)
-    return _estimate_sweep(summary, config, cold_start)
-
-
-def derive_miss_summaries(
-    summary: StreamSummary,
-    estimate: LevelEstimate,
-    level_config: CacheConfig,
-    level_enabled: bool,
-) -> List[StreamSummary]:
-    """The stream(s) a level's misses present to the level below.
-
-    An enabled cache refills at line granularity, so the downstream
-    transaction size is its line size.  A partially-thrashing footprint
-    emits two distinct components: the *recurring* traffic of the
-    overfull sets (small footprint, repeats every pass — it will hit in
-    the next level once warm) and the *one-shot* cold fills of the
-    lines that stay resident afterwards.  Returns an empty list when
-    there are no misses; a disabled cache passes the summary through
-    unchanged.
-    """
-    if estimate.misses == 0:
-        return []
-    if not level_enabled:
-        return [summary]
-    line = level_config.line_size
-    # Refills are reads; dirty evictions are tracked separately as
-    # writeback traffic by the hierarchy.
-    pattern = summary.pattern
-    if pattern is PatternKind.SINGLE_ADDRESS:
-        pattern = PatternKind.LINEAR
-
-    def component(per_pass: int, repeats: int) -> StreamSummary:
-        return replace(
-            summary,
-            pattern=pattern,
-            per_pass=per_pass,
-            repeats=repeats,
-            footprint_bytes=per_pass * line,
-            write_fraction=0.0,
-            transaction_size=line,
-        )
-
-    components: List[StreamSummary] = []
-    warm = estimate.warm_misses_per_pass
-    if warm > 0:
-        components.append(component(warm, summary.repeats))
-    cold_only = estimate.cold_misses - warm
-    if cold_only > 0:
-        components.append(component(cold_only, 1))
-    return components
-
-
-# ----------------------------------------------------------------------
-# vectorized batch layer
-# ----------------------------------------------------------------------
-#
-# The estimators above answer one stream at a time; a micro-benchmark
-# sweep asks the same question for dozens of streams that differ only in
-# their shape parameters.  A SummaryBatch carries those parameters as
-# arrays so one sweep is a handful of numpy expressions instead of a
-# Python loop; the arithmetic mirrors the scalar estimators line for
-# line and is cross-validated against them in ``tests/perf``.
-
-
-@dataclass(frozen=True)
-class SummaryBatch:
-    """N stream summaries sharing one pattern, as parallel arrays."""
 
     pattern: PatternKind
     per_pass: np.ndarray
@@ -353,6 +107,18 @@ class SummaryBatch:
             transaction_size=as_int(transaction_size),
         )
 
+    @classmethod
+    def from_stream(cls, stream: AccessStream) -> "SummaryBatch":
+        """The batch of one summarizing ``stream`` (addresses dropped)."""
+        return cls.build(
+            pattern=stream.pattern,
+            per_pass=stream.transactions_per_pass,
+            repeats=stream.repeats,
+            footprint_bytes=stream.footprint_bytes or 0,
+            write_fraction=stream.write_fraction,
+            transaction_size=stream.transaction_size,
+        )
+
     def __len__(self) -> int:
         return len(self.per_pass)
 
@@ -366,21 +132,15 @@ class SummaryBatch:
         """Bytes moved across all replays, per stream."""
         return self.total * self.transaction_size
 
-    def summary(self, index: int) -> StreamSummary:
-        """The scalar summary of stream ``index`` (for cross-checks)."""
-        return StreamSummary(
-            pattern=self.pattern,
-            per_pass=int(self.per_pass[index]),
-            repeats=int(self.repeats[index]),
-            footprint_bytes=int(self.footprint_bytes[index]),
-            write_fraction=float(self.write_fraction[index]),
-            transaction_size=int(self.transaction_size[index]),
-        )
-
 
 @dataclass(frozen=True)
-class LevelEstimateBatch:
-    """Per-stream :class:`LevelEstimate` fields as arrays."""
+class LevelEstimate:
+    """Estimated behaviour of one cache level, per stream of a batch.
+
+    Counts are totals across every replay.  ``cold_misses`` and
+    ``warm_misses_per_pass`` decompose the total so the next level's
+    incoming traffic can be derived.
+    """
 
     accesses: np.ndarray
     hits: np.ndarray
@@ -394,9 +154,9 @@ def _ceil_div(numerator: np.ndarray, denominator: int) -> np.ndarray:
     return -(-numerator // denominator)
 
 
-def _estimate_disabled_batch(batch: SummaryBatch) -> LevelEstimateBatch:
+def _estimate_disabled(batch: SummaryBatch) -> LevelEstimate:
     total = batch.total
-    return LevelEstimateBatch(
+    return LevelEstimate(
         accesses=total,
         hits=np.zeros_like(total),
         misses=total,
@@ -406,12 +166,12 @@ def _estimate_disabled_batch(batch: SummaryBatch) -> LevelEstimateBatch:
     )
 
 
-def _estimate_single_address_batch(
+def _estimate_single_address(
     batch: SummaryBatch, cold_start: bool
-) -> LevelEstimateBatch:
+) -> LevelEstimate:
     total = batch.total
     misses = np.where(total > 0, 1 if cold_start else 0, 0).astype(np.int64)
-    return LevelEstimateBatch(
+    return LevelEstimate(
         accesses=total,
         hits=total - misses,
         misses=misses,
@@ -421,9 +181,9 @@ def _estimate_single_address_batch(
     )
 
 
-def _estimate_sparse_batch(
+def _estimate_sparse(
     batch: SummaryBatch, config: CacheConfig, cold_start: bool
-) -> LevelEstimateBatch:
+) -> LevelEstimate:
     total = batch.total
     footprint = batch.footprint_bytes
     lines = np.where(footprint > 0, _ceil_div(footprint, config.line_size), 0)
@@ -440,7 +200,7 @@ def _estimate_sparse_batch(
         )
     else:
         writebacks = np.zeros_like(total)
-    return LevelEstimateBatch(
+    return LevelEstimate(
         accesses=total,
         hits=total - misses,
         misses=misses,
@@ -450,9 +210,9 @@ def _estimate_sparse_batch(
     )
 
 
-def _estimate_sweep_batch(
+def _estimate_sweep(
     batch: SummaryBatch, config: CacheConfig, cold_start: bool
-) -> LevelEstimateBatch:
+) -> LevelEstimate:
     total = batch.total
     footprint = batch.footprint_bytes
     lines = np.where(
@@ -463,6 +223,12 @@ def _estimate_sweep_batch(
         ),
         0,
     )
+    # A sequential sweep spreads its lines uniformly over the sets.
+    # A set holding more lines than its ways thrashes under true LRU
+    # (every one of its lines misses every pass); a set within its ways
+    # keeps them all resident after the cold pass.  Near the capacity
+    # boundary only the ceil-loaded sets thrash — the exact simulator
+    # confirms this per-set granularity.
     sets = config.num_sets
     ways = config.ways
     floor_lines = lines // sets
@@ -478,13 +244,16 @@ def _estimate_sweep_batch(
     cold = lines if cold_start else thrashing_lines
     warm = thrashing_lines
     misses = np.minimum(cold + warm * (batch.repeats - 1), total)
+    # Each thrashing dirty line is evicted before reuse; the lines still
+    # resident in the thrashing sets when the run ends (ways per set)
+    # are flushed later, not written back here.
     has_writes = (batch.write_fraction > 0.0) & config.write_back
     writebacks = np.where(
         has_writes & (thrashing_lines > 0),
         np.maximum(0, thrashing_lines * batch.repeats - thrashing_sets * ways),
         0,
     )
-    return LevelEstimateBatch(
+    return LevelEstimate(
         accesses=total,
         hits=total - misses,
         misses=misses,
@@ -494,34 +263,39 @@ def _estimate_sweep_batch(
     )
 
 
-def estimate_level_batch(
+def estimate_level(
     batch: SummaryBatch,
     config: CacheConfig,
     enabled: bool = True,
     cold_start: bool = True,
-) -> LevelEstimateBatch:
-    """Vectorized :func:`estimate_level` over a batch of summaries.
+) -> LevelEstimate:
+    """Estimate one cache level's response to each summary of ``batch``.
 
-    Streams with zero transactions contribute all-zero rows, matching
-    the scalar early return.
+    Streams with zero transactions contribute all-zero rows.  An idle
+    stream is idle regardless of its pattern tag, so an all-idle batch
+    of an unsupported pattern (an empty ``CUSTOM`` stream: a task with
+    no memory pattern) estimates as zeros instead of being rejected.
     """
+    idle = batch.total == 0
     if not supports(batch.pattern):
+        if idle.all():
+            zeros = np.zeros(len(batch), dtype=np.int64)
+            return LevelEstimate(zeros, zeros, zeros, zeros, zeros, zeros)
         raise SimulationError(
             f"analytic estimator does not support pattern {batch.pattern}"
         )
     if not enabled:
-        est = _estimate_disabled_batch(batch)
+        est = _estimate_disabled(batch)
     elif batch.pattern is PatternKind.SINGLE_ADDRESS:
-        est = _estimate_single_address_batch(batch, cold_start)
+        est = _estimate_single_address(batch, cold_start)
     elif batch.pattern is PatternKind.SPARSE:
-        est = _estimate_sparse_batch(batch, config, cold_start)
+        est = _estimate_sparse(batch, config, cold_start)
     else:
-        est = _estimate_sweep_batch(batch, config, cold_start)
-    idle = batch.total == 0
+        est = _estimate_sweep(batch, config, cold_start)
     if not idle.any():
         return est
     keep = ~idle
-    return LevelEstimateBatch(
+    return LevelEstimate(
         accesses=est.accesses * keep,
         hits=est.hits * keep,
         misses=est.misses * keep,
@@ -533,20 +307,30 @@ def estimate_level_batch(
 
 def derive_miss_batches(
     batch: SummaryBatch,
-    estimate: LevelEstimateBatch,
+    estimate: LevelEstimate,
     level_config: CacheConfig,
     level_enabled: bool,
 ) -> List[SummaryBatch]:
-    """Vectorized :func:`derive_miss_summaries`.
+    """The batch(es) a level's misses present to the level below.
 
-    Instead of dropping empty components per stream, components keep
-    their full batch width with zeroed rows: a row with ``per_pass == 0``
-    is estimated as all-zero downstream, so the totals match the scalar
-    chain exactly.
+    An enabled cache refills at line granularity, so the downstream
+    transaction size is its line size.  A partially-thrashing footprint
+    emits two distinct components: the *recurring* traffic of the
+    overfull sets (small footprint, repeats every pass — it will hit in
+    the next level once warm) and the *one-shot* cold fills of the
+    lines that stay resident afterwards.  A disabled cache passes the
+    batch through unchanged.
+
+    Components keep the full batch width with zeroed rows: a row with
+    ``per_pass == 0`` is estimated as all-zero downstream.  A component
+    that is zero in every row is dropped, so a level without misses
+    emits an empty list.
     """
     if not level_enabled:
         return [batch]
     line = level_config.line_size
+    # Refills are reads; dirty evictions are tracked separately as
+    # writeback traffic by the hierarchy.
     pattern = batch.pattern
     if pattern is PatternKind.SINGLE_ADDRESS:
         pattern = PatternKind.LINEAR
@@ -569,20 +353,3 @@ def derive_miss_batches(
     if cold_only.any():
         components.append(component(cold_only, np.ones_like(cold_only)))
     return components
-
-
-def derive_miss_summary(
-    summary: StreamSummary,
-    estimate: LevelEstimate,
-    level_config: CacheConfig,
-    level_enabled: bool,
-) -> Optional[StreamSummary]:
-    """Dominant component of :func:`derive_miss_summaries`.
-
-    Kept for callers that only need the homogeneous cases (fully
-    fitting or fully thrashing footprints); the hierarchy uses the
-    multi-component form.
-    """
-    components = derive_miss_summaries(summary, estimate, level_config,
-                                       level_enabled)
-    return components[0] if components else None

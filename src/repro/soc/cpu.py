@@ -165,7 +165,9 @@ class CPUModel:
                 results.append(memory)
                 piece = memory.streaming_time_s + memory.exposed_latency_s
                 if uncached:
-                    piece += self._uncached_latency_penalty(s, uncached_latency_s)
+                    piece += self._uncached_latency_penalty(
+                        s.pattern, s.total_transactions, uncached_latency_s
+                    )
                 if s.pattern is PatternKind.SINGLE_ADDRESS:
                     # A read-modify-write chain on one address is fully
                     # serial: nothing hides behind compute.
@@ -221,8 +223,9 @@ class CPUModel:
             self.hierarchy.memory_port_bandwidth = saved_port
         piece = memory.streaming_time_s + memory.exposed_latency_s
         if uncached:
-            piece = piece + self._uncached_penalty_batch(
-                batch, uncached_latency_s
+            piece = piece + self._uncached_latency_penalty(
+                batch.pattern, batch.total.astype(np.float64),
+                uncached_latency_s,
             )
         compute_s = compute_cycles / (self.config.frequency_hz * self.config.ipc)
         if batch.pattern is PatternKind.SINGLE_ADDRESS:
@@ -245,29 +248,12 @@ class CPUModel:
             memory=memory,
         )
 
-    def _uncached_penalty_batch(
-        self, batch: SummaryBatch, uncached_latency_s: float
-    ) -> np.ndarray:
-        """Vectorized :meth:`_uncached_latency_penalty`."""
-        if uncached_latency_s <= 0:
-            return np.zeros(len(batch), dtype=np.float64)
-        total = batch.total.astype(np.float64)
-        if batch.pattern is PatternKind.SINGLE_ADDRESS:
-            return total * uncached_latency_s
-        if batch.pattern in (
-            PatternKind.STRIDED,
-            PatternKind.SPARSE,
-            PatternKind.TILED,
-            PatternKind.CUSTOM,
-        ):
-            return total * uncached_latency_s / self.config.mlp
-        return np.zeros(len(batch), dtype=np.float64)
-
     def _uncached_latency_penalty(
         self,
-        stream: AccessStream,
+        pattern: PatternKind,
+        transactions,
         uncached_latency_s: float,
-    ) -> float:
+    ):
         """Latency cost of the uncached (caches-disabled) path.
 
         Sequential patterns (LINEAR / FRACTION) stream through write
@@ -276,16 +262,19 @@ class CPUModel:
         path: each transaction pays the round trip, overlapped only by
         the core's MLP.  A same-address read-modify-write chain is a
         true dependency chain and overlaps nothing.
+
+        ``transactions`` is one stream's count or a batch's array of
+        counts; a penalty-free pattern returns a scalar ``0.0``.
         """
         if uncached_latency_s <= 0:
             return 0.0
-        if stream.pattern is PatternKind.SINGLE_ADDRESS:
-            return stream.total_transactions * uncached_latency_s
-        if stream.pattern in (
+        if pattern is PatternKind.SINGLE_ADDRESS:
+            return transactions * uncached_latency_s
+        if pattern in (
             PatternKind.STRIDED,
             PatternKind.SPARSE,
             PatternKind.TILED,
             PatternKind.CUSTOM,
         ):
-            return stream.total_transactions * uncached_latency_s / self.config.mlp
+            return transactions * uncached_latency_s / self.config.mlp
         return 0.0

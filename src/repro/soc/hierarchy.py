@@ -32,6 +32,12 @@ large regular traces use :mod:`repro.soc.analytic`.  ``mode="auto"``
 switches on trace size; both paths produce the same
 :class:`MemoryResult` shape and are cross-validated in the tests.
 
+The closed-form path is one level walk over a
+:class:`~repro.soc.analytic.SummaryBatch`
+(:meth:`CacheHierarchy._walk_summaries`): ``process(mode="analytic")``
+walks a batch of one stream, :meth:`CacheHierarchy.process_summaries`
+a whole micro-benchmark sweep.
+
 Timing backends
 ---------------
 
@@ -413,52 +419,71 @@ class CacheHierarchy:
     # -- analytic path ---------------------------------------------------
 
     def _process_analytic(self, stream: AccessStream) -> MemoryResult:
-        summaries: List[analytic.StreamSummary] = [
-            analytic.StreamSummary.from_stream(stream)
-        ]
-        per_level = []
-        stage_bytes: List[float] = []
-        writeback_bytes_from_above = 0.0
-        dram_read = 0.0
-        dram_write = 0.0
-        dram_transactions = 0
+        """Closed-form path: the level walk over a batch of one."""
+        walk = self._walk_summaries(analytic.SummaryBatch.from_stream(stream))
+        return self._combine(stream, [walk.row(0)], [1.0])
+
+    def _walk_summaries(self, batch: analytic.SummaryBatch) -> "_SummaryWalk":
+        """Chain the closed-form estimates of ``batch`` down the levels.
+
+        Each level estimates every incoming summary component, adds up
+        its traffic and hands its miss components to the next level;
+        whatever leaves the last level is DRAM traffic.  Both the
+        per-stream analytic path and :meth:`process_summaries` reduce
+        this one walk.
+        """
+        n = len(batch)
+        batches: List[analytic.SummaryBatch] = [batch]
+        levels: List[Dict[str, np.ndarray]] = []
+        stage_bytes: List[np.ndarray] = []
+        writeback_bytes_from_above = np.zeros(n, dtype=np.float64)
         for cache in self.caches:
-            level = dict(accesses=0, hits=0, misses=0, writebacks=0,
-                         bytes_in=0)
-            next_summaries: List[analytic.StreamSummary] = []
-            for summary in summaries:
-                est = analytic.estimate_level(summary, cache.config,
-                                              cache.enabled)
+            level = dict(
+                accesses=np.zeros(n, dtype=np.int64),
+                hits=np.zeros(n, dtype=np.int64),
+                misses=np.zeros(n, dtype=np.int64),
+                writebacks=np.zeros(n, dtype=np.int64),
+                bytes_in=np.zeros(n, dtype=np.float64),
+            )
+            next_batches: List[analytic.SummaryBatch] = []
+            for component in batches:
+                est = analytic.estimate_level(
+                    component, cache.config, cache.enabled
+                )
                 level["accesses"] += est.accesses
                 level["hits"] += est.hits
                 level["misses"] += est.misses
                 level["writebacks"] += est.writeback_lines
-                level["bytes_in"] += summary.total * summary.transaction_size
-                next_summaries.extend(
-                    analytic.derive_miss_summaries(
-                        summary, est, cache.config, cache.enabled
+                level["bytes_in"] += component.total * component.transaction_size
+                next_batches.extend(
+                    analytic.derive_miss_batches(
+                        component, est, cache.config, cache.enabled
                     )
                 )
-            per_level.append(level)
+            levels.append(level)
             stage_bytes.append(level["bytes_in"] + writeback_bytes_from_above)
-            writeback_bytes_from_above += (
-                level["writebacks"] * cache.config.line_size
+            writeback_bytes_from_above = (
+                writeback_bytes_from_above
+                + level["writebacks"] * cache.config.line_size
             )
-            summaries = next_summaries
-        for summary in summaries:
-            dram_transactions += summary.total
-            write_txns = int(summary.total * summary.write_fraction)
-            dram_read += (summary.total - write_txns) * summary.transaction_size
-            dram_write += write_txns * summary.transaction_size
-        dram_write += writeback_bytes_from_above
-        raw = dict(
-            levels=per_level,
+            batches = next_batches
+
+        dram_read = np.zeros(n, dtype=np.float64)
+        dram_write = np.zeros(n, dtype=np.float64)
+        dram_transactions = np.zeros(n, dtype=np.int64)
+        for component in batches:
+            total = component.total
+            write_txns = (total * component.write_fraction).astype(np.int64)
+            dram_transactions += total
+            dram_read += (total - write_txns) * component.transaction_size
+            dram_write += write_txns * component.transaction_size
+        return _SummaryWalk(
+            levels=levels,
             stage_bytes=stage_bytes,
             dram_read=dram_read,
-            dram_write=dram_write,
+            dram_write=dram_write + writeback_bytes_from_above,
             dram_transactions=dram_transactions,
         )
-        return self._combine(stream, [raw], [1.0])
 
     # -- event-driven (simulated) path -------------------------------------
 
@@ -621,14 +646,12 @@ class CacheHierarchy:
     ) -> "BatchMemoryResult":
         """Serve N stream summaries at once on the analytic path.
 
-        This is :meth:`_process_analytic` vectorized over a
-        :class:`~repro.soc.analytic.SummaryBatch`: every per-level
-        estimate, miss-component derivation, stage-byte account and
-        timing reduction is one array expression, so a whole
-        micro-benchmark sweep costs a handful of numpy ops.  Per-stream
-        results match ``process(..., mode="analytic")`` exactly (the
-        arithmetic is identical; the equivalence is pinned by
-        ``tests/perf``).
+        Runs the same level walk as ``process(..., mode="analytic")``
+        (:meth:`_walk_summaries`) over a whole
+        :class:`~repro.soc.analytic.SummaryBatch` and reduces it to the
+        per-stream time/bytes arrays a micro-benchmark sweep needs, so a
+        sweep costs a handful of numpy ops instead of one walk per
+        point.
 
         This is an analytic-only fast path: it evaluates the closed
         form directly, so it cannot express another backend's timing.
@@ -641,72 +664,34 @@ class CacheHierarchy:
                 "process_summaries is an analytic-only fast path; the "
                 f"{self.backend.name!r} backend must route through process()"
             )
-        n = len(batch)
-        batches: List[analytic.SummaryBatch] = [batch]
-        stage_bytes: List[np.ndarray] = []
-        writeback_bytes_from_above = np.zeros(n, dtype=np.float64)
-        for cache in self.caches:
-            level_bytes = np.zeros(n, dtype=np.float64)
-            level_writebacks = np.zeros(n, dtype=np.int64)
-            next_batches: List[analytic.SummaryBatch] = []
-            for component in batches:
-                est = analytic.estimate_level_batch(
-                    component, cache.config, cache.enabled
-                )
-                level_bytes += component.total * component.transaction_size
-                level_writebacks += est.writeback_lines
-                next_batches.extend(
-                    analytic.derive_miss_batches(
-                        component, est, cache.config, cache.enabled
-                    )
-                )
-            stage_bytes.append(level_bytes + writeback_bytes_from_above)
-            writeback_bytes_from_above = (
-                writeback_bytes_from_above
-                + level_writebacks * cache.config.line_size
-            )
-            batches = next_batches
-
-        dram_read = np.zeros(n, dtype=np.float64)
-        dram_write = np.zeros(n, dtype=np.float64)
-        dram_transactions = np.zeros(n, dtype=np.int64)
-        for component in batches:
-            total = component.total
-            write_txns = (total * component.write_fraction).astype(np.int64)
-            dram_transactions += total
-            dram_read += (total - write_txns) * component.transaction_size
-            dram_write += write_txns * component.transaction_size
-        dram_write = dram_write + writeback_bytes_from_above
-
+        walk = self._walk_summaries(batch)
         dram_bandwidth = min(
             self.memory_port_bandwidth, self.dram.config.effective_bandwidth
         )
-        streaming = np.zeros(n, dtype=np.float64)
+        streaming = np.zeros(len(batch), dtype=np.float64)
         for i, cache in enumerate(self.caches):
             if cache.enabled:
+                stage = walk.stage_bytes[i]
                 streaming = np.maximum(
                     streaming,
-                    np.where(
-                        stage_bytes[i] > 0,
-                        stage_bytes[i] / self.specs[i].bandwidth,
-                        0.0,
-                    ),
+                    np.where(stage > 0, stage / self.specs[i].bandwidth, 0.0),
                 )
-        dram_bytes = dram_read + dram_write
+        dram_bytes = walk.dram_read + walk.dram_write
         streaming = np.maximum(
             streaming, np.where(dram_bytes > 0, dram_bytes / dram_bandwidth, 0.0)
         )
         exposed = np.where(
-            dram_transactions > 0, self.dram.config.latency_s, 0.0
+            walk.dram_transactions > 0, self.dram.config.latency_s, 0.0
         )
         if record_dram:
-            self.dram.record(int(dram_read.sum()), int(dram_write.sum()))
+            self.dram.record(int(walk.dram_read.sum()),
+                             int(walk.dram_write.sum()))
         return BatchMemoryResult(
             transactions=batch.total,
             bytes_requested=batch.total_bytes,
-            dram_read_bytes=dram_read,
-            dram_write_bytes=dram_write,
-            dram_transactions=dram_transactions,
+            dram_read_bytes=walk.dram_read,
+            dram_write_bytes=walk.dram_write,
+            dram_transactions=walk.dram_transactions,
             streaming_time_s=streaming,
             exposed_latency_s=exposed,
         )
@@ -772,6 +757,41 @@ class CacheHierarchy:
             stage_times=stage_times,
             streaming_time_s=streaming_time,
             exposed_latency_s=exposed_latency,
+        )
+
+
+@dataclass(frozen=True)
+class _SummaryWalk:
+    """Per-row traffic of :meth:`CacheHierarchy._walk_summaries`.
+
+    ``levels`` holds one dict of ``accesses``/``hits``/``misses``/
+    ``writebacks``/``bytes_in`` arrays per cache level; every array is
+    aligned with the walked batch.
+    """
+
+    levels: List[Dict[str, np.ndarray]]
+    stage_bytes: List[np.ndarray]
+    dram_read: np.ndarray
+    dram_write: np.ndarray
+    dram_transactions: np.ndarray
+
+    def row(self, index: int) -> dict:
+        """Row ``index`` as the raw per-pass record ``_combine`` takes."""
+        return dict(
+            levels=[
+                dict(
+                    accesses=int(level["accesses"][index]),
+                    hits=int(level["hits"][index]),
+                    misses=int(level["misses"][index]),
+                    writebacks=int(level["writebacks"][index]),
+                    bytes_in=int(level["bytes_in"][index]),
+                )
+                for level in self.levels
+            ],
+            stage_bytes=[float(stage[index]) for stage in self.stage_bytes],
+            dram_read=float(self.dram_read[index]),
+            dram_write=float(self.dram_write[index]),
+            dram_transactions=int(self.dram_transactions[index]),
         )
 
 

@@ -12,6 +12,45 @@ from repro.analysis.validation import (
 )
 
 
+R, M = Verdict.REPRODUCED, Verdict.MAGNITUDE
+
+#: The verdict of every ``run_reproduction_checks`` row, by
+#: (experiment, quantity): 20 reproduced, 6 magnitude-only.  A row may
+#: improve, but none may vanish, appear or grade worse — a count gate
+#: would miss one row gained while another is lost.
+EXPECTED_VERDICTS = {
+    ("Table I", "tx2 ZC throughput (GB/s)"): R,
+    ("Table I", "tx2 SC throughput (GB/s)"): R,
+    ("Table I", "tx2 UM throughput (GB/s)"): R,
+    ("Table I", "xavier ZC throughput (GB/s)"): R,
+    ("Table I", "xavier SC throughput (GB/s)"): R,
+    ("Table I", "xavier UM throughput (GB/s)"): R,
+    ("Fig 6", "TX2 GPU threshold (%)"): M,
+    ("Fig 3", "Xavier GPU threshold (%)"): M,
+    ("Fig 3", "Xavier zone-2 bound (%)"): M,
+    ("Fig 7", "Xavier ZC vs SC (%)"): R,
+    ("Fig 7", "Xavier ZC vs UM (%)"): R,
+    ("Table II", "nano decision"): R,
+    ("Table II", "nano kernel (us)"): R,
+    ("Table III", "nano ZC vs SC (%)"): M,
+    ("Table II", "tx2 decision"): R,
+    ("Table II", "tx2 kernel (us)"): R,
+    ("Table III", "tx2 ZC vs SC (%)"): R,
+    ("Table II", "xavier decision"): R,
+    ("Table II", "xavier kernel (us)"): M,
+    ("Table III", "xavier ZC vs SC (%)"): R,
+    ("Table IV", "tx2 zone"): R,
+    ("Table IV", "tx2 kernel (us)"): R,
+    ("Table V", "tx2 ZC vs SC (%)"): M,
+    ("Table IV", "xavier zone"): R,
+    ("Table IV", "xavier kernel (us)"): R,
+    ("Table V", "xavier ZC vs SC (%)"): R,
+}
+
+#: Verdicts from best to worst.
+_RANK = {Verdict.REPRODUCED: 0, Verdict.MAGNITUDE: 1, Verdict.DEVIATES: 2}
+
+
 class TestGrading:
     def test_tight_match_reproduced(self):
         assert _grade(100.0, 104.0) is Verdict.REPRODUCED
@@ -63,6 +102,17 @@ class TestFullRun:
     def test_majority_reproduced(self, checks):
         reproduced = sum(c.verdict is Verdict.REPRODUCED for c in checks)
         assert reproduced / len(checks) >= 0.70
+
+    def test_each_row_keeps_its_verdict(self, checks):
+        measured = {(c.experiment, c.quantity): c.verdict for c in checks}
+        assert len(measured) == len(checks), "duplicate row keys"
+        assert set(measured) == set(EXPECTED_VERDICTS)
+        worse = {
+            key: (EXPECTED_VERDICTS[key].value, verdict.value)
+            for key, verdict in measured.items()
+            if _RANK[verdict] > _RANK[EXPECTED_VERDICTS[key]]
+        }
+        assert not worse, f"rows graded worse (expected, now): {worse}"
 
     def test_all_decisions_reproduce(self, checks):
         for check in checks:

@@ -1,6 +1,6 @@
 """Batch sweep engine vs the scalar reference simulation.
 
-The vectorized engine is only admissible because it is *equivalent*:
+The batch engine is only admissible because it is *equivalent*:
 on the analytic path its closed-form coalescing must reproduce the
 scalar per-point results exactly, and the full micro-benchmark (which
 runs the executors in ``auto`` mode) must land on the same thresholds.
@@ -12,9 +12,7 @@ import pytest
 from repro.microbench.second import SecondMicroBenchmark
 from repro.perf.batch import (
     BatchUnsupported,
-    coalesced_linear_read_transactions,
     coalesced_rw_pair_transactions,
-    mb1_gpu_size_sweep,
     mb2_cpu_points,
     mb2_gpu_points,
 )
@@ -116,32 +114,20 @@ class TestAnalyticExactness:
             assert point.sc_time_s == pytest.approx(sc_time, rel=1e-12)
             assert point.zc_time_s == pytest.approx(zc_time, rel=1e-12)
 
-    def test_mb1_size_sweep(self, board_name):
-        board = get_board(board_name)
-        fractions = (0.25, 0.5, 1.0)
-        repeats = 16
-        batch = mb1_gpu_size_sweep(SoC(board), fractions, repeats)
-        assert len(batch) == len(fractions)
-        llc_bytes = board.gpu.llc.size_bytes
-        for i, fraction in enumerate(fractions):
-            count = max(1024, int(llc_bytes * fraction) // 4)
-            soc = SoC(board)
-            buffer = _pinned_buffer(soc, count * 4)
-            stream = AccessStream.linear(buffer, repeats=repeats)
-            scalar = soc.gpu.run(
-                "mb1", float(count * repeats), stream, mode="analytic"
-            )
-            assert batch.time_s[i] == pytest.approx(scalar.time_s, rel=1e-12)
-
 
 @pytest.mark.parametrize("board_name", BOARDS)
 class TestFullSweepEquivalence:
-    """SecondMicroBenchmark(vectorized) == the scalar per-point sweep."""
+    """SecondMicroBenchmark.run (batch) == the per-point sweep methods."""
 
     def _run_both(self, board_name):
         board = get_board(board_name)
-        fast = SecondMicroBenchmark(vectorized=True).run(SoC(board))
-        slow = SecondMicroBenchmark(vectorized=False).run(SoC(board))
+        bench = SecondMicroBenchmark()
+        fast = bench.run(SoC(board))
+        per_point = SecondMicroBenchmark()
+        # Refusing the batch engine makes run() take its per-point
+        # path: _sweep_gpu / _sweep_cpu, then the same analysis.
+        per_point._sweep_vectorized = lambda soc: (None, None)
+        slow = per_point.run(SoC(board))
         return fast, slow
 
     def test_thresholds_identical(self, board_name):
@@ -182,7 +168,7 @@ class TestClosedFormGuards:
     def test_alignment_must_cover_line(self):
         # The default 128-byte alignment is not a multiple of 96.
         with pytest.raises(BatchUnsupported):
-            coalesced_linear_read_transactions(
+            coalesced_rw_pair_transactions(
                 np.array([64]), element_size=4, line_size=96, warp_size=32
             )
 
@@ -201,14 +187,14 @@ class TestClosedFormGuards:
 
 class TestInjectionFallback:
     def test_vectorized_sweep_disabled_under_injection(self, tx2_soc):
-        bench = SecondMicroBenchmark(vectorized=True)
+        bench = SecondMicroBenchmark()
         with inject_faults(FaultPlan(seed=0)):
             assert bench._sweep_vectorized(tx2_soc) == (None, None)
 
     def test_run_still_works_under_injection(self, tx2_board):
         # An empty plan patches the seams but perturbs nothing, so the
         # scalar fallback must reproduce the clean-run thresholds.
-        bench = SecondMicroBenchmark(vectorized=True)
+        bench = SecondMicroBenchmark()
         clean = bench.run(SoC(tx2_board))
         with inject_faults(FaultPlan(seed=0)):
             injected = bench.run(SoC(tx2_board))
@@ -216,21 +202,3 @@ class TestInjectionFallback:
             clean.gpu_analysis.threshold_pct
         assert injected.cpu_analysis.threshold_pct == \
             clean.cpu_analysis.threshold_pct
-
-
-class TestMb3BalanceResults:
-    def test_matches_scalar_per_balance_runs(self):
-        from repro.microbench.third import ThirdMicroBenchmark
-        from repro.perf.batch import mb3_balance_results
-
-        board = get_board("xavier")
-        balances = (0.5, 1.0, 2.0)
-        batched = mb3_balance_results(
-            ThirdMicroBenchmark(vectorized=True), SoC(board), balances
-        )
-        for balance, result in zip(balances, batched):
-            scalar = ThirdMicroBenchmark(cpu_balance=balance).run(SoC(board))
-            for model in ("SC", "UM", "ZC"):
-                assert result.total_times[model] == pytest.approx(
-                    scalar.total_times[model], rel=1e-12
-                )

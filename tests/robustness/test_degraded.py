@@ -12,6 +12,7 @@ from repro.model.decision import (
     keep_current,
 )
 from repro.model.framework import Framework
+from repro.resilience.retry import RetryPolicy
 from repro.robustness.faults import FaultKind, FaultPlan, FaultSpec
 from repro.robustness.inject import inject_faults
 
@@ -150,7 +151,8 @@ class TestCharacterizeRetries:
                                     code="MICROBENCH_FAILED")),
         )
         with pytest.raises(MicrobenchmarkError) as excinfo:
-            suite.characterize(tx2_board, retries=0)
+            suite.characterize(
+                tx2_board, retry_policy=RetryPolicy.from_attempts(0))
         assert excinfo.value.code == "MICROBENCH_FAILED"
 
     def test_exhausted_retries_annotated(self, tx2_board, monkeypatch):
@@ -166,7 +168,8 @@ class TestCharacterizeRetries:
 
         monkeypatch.setattr(suite, "_characterize_once", failing)
         with pytest.raises(MicrobenchmarkError) as excinfo:
-            suite.characterize(tx2_board, retries=2)
+            suite.characterize(
+                tx2_board, retry_policy=RetryPolicy.from_attempts(2))
         assert excinfo.value.code == "MICROBENCH_RETRIES_EXHAUSTED"
         assert excinfo.value.details["attempts"] == 3
         assert excinfo.value.details["last_error"]["code"] == "MICROBENCH_FAILED"
@@ -188,6 +191,7 @@ class TestCharacterizeRetries:
             return real(board)
 
         monkeypatch.setattr(suite, "_characterize_once", flaky)
-        device = suite.characterize(tx2_board, retries=2)
+        device = suite.characterize(
+                tx2_board, retry_policy=RetryPolicy.from_attempts(2))
         assert device.board_name == tx2_board.name
         assert len(attempts) == 2

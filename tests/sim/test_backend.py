@@ -180,11 +180,11 @@ class TestHierarchyIntegration:
             soc.gpu.hierarchy.process_summaries(batch)
 
     def test_batch_sweeps_declare_analytic_only(self):
-        from repro.perf.batch import BatchUnsupported, mb1_gpu_size_sweep
+        from repro.perf.batch import BatchUnsupported, mb2_gpu_points
 
         soc = SoC(get_board("tx2"), backend="simulated")
         with pytest.raises(BatchUnsupported):
-            mb1_gpu_size_sweep(soc, [0.5], sweep_repeats=1)
+            mb2_gpu_points(soc, [0.5], 4 * 1024 * 1024, sweep_repeats=1)
 
     def test_simulated_process_close_to_analytic_on_streaming(self):
         stream = AccessStream.virtual_stream(

@@ -2,8 +2,11 @@
 
 This file is the contract that lets the benchmarks trust the analytic
 fast path: for every supported pattern, the closed-form hit counts must
-track the exact LRU simulation.
+track the exact LRU simulation.  A single stream is a batch of one
+(``SummaryBatch.from_stream``); ``estimate`` reads back its only row.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -38,14 +41,33 @@ def exact_counts(stream: AccessStream, config: CacheConfig):
 CACHE = CacheConfig(name="val", size_bytes=16 * 1024, line_size=64, ways=4)
 
 
+def estimate(batch, config=CACHE, **kwargs):
+    """Row 0 of ``estimate_level`` on a batch of one, as plain ints."""
+    est = analytic.estimate_level(batch, config, **kwargs)
+    assert len(est.accesses) == 1
+    return SimpleNamespace(
+        **{name: int(getattr(est, name)[0]) for name in vars(est)}
+    )
+
+
+def summary(stream):
+    return analytic.SummaryBatch.from_stream(stream)
+
+
+def single(pattern, per_pass):
+    """A batch of one built from shape parameters alone."""
+    return analytic.SummaryBatch.build(
+        pattern=pattern, per_pass=per_pass, repeats=1,
+        footprint_bytes=per_pass * 4, write_fraction=0.0, transaction_size=4,
+    )
+
+
 class TestSweepEstimates:
     @pytest.mark.parametrize("footprint_kib", [2, 8, 16])
     def test_fitting_sweep_matches_exact(self, footprint_kib):
         buffer = make_buffer(footprint_kib * 1024)
         stream = AccessStream.linear(buffer, read_write_pairs=True, repeats=4)
-        est = analytic.estimate_level(
-            analytic.StreamSummary.from_stream(stream), CACHE
-        )
+        est = estimate(summary(stream))
         hits, misses, writebacks = exact_counts(stream, CACHE)
         assert est.misses == misses
         assert est.hits == hits
@@ -55,9 +77,7 @@ class TestSweepEstimates:
     def test_thrashing_sweep_matches_exact(self, footprint_kib):
         buffer = make_buffer(footprint_kib * 1024)
         stream = AccessStream.linear(buffer, read_write_pairs=True, repeats=3)
-        est = analytic.estimate_level(
-            analytic.StreamSummary.from_stream(stream), CACHE
-        )
+        est = estimate(summary(stream))
         hits, misses, _ = exact_counts(stream, CACHE)
         assert est.misses == misses
         assert est.hits == hits
@@ -65,18 +85,14 @@ class TestSweepEstimates:
     def test_thrashing_writebacks_close_to_exact(self):
         buffer = make_buffer(64 * 1024)
         stream = AccessStream.linear(buffer, read_write_pairs=True, repeats=3)
-        est = analytic.estimate_level(
-            analytic.StreamSummary.from_stream(stream), CACHE
-        )
+        est = estimate(summary(stream))
         _, _, writebacks = exact_counts(stream, CACHE)
         assert est.writeback_lines == pytest.approx(writebacks, rel=0.15)
 
     def test_fraction_pattern(self):
         buffer = make_buffer(256 * 1024)
         stream = AccessStream.fraction(buffer, fraction=1 / 64, repeats=4)
-        est = analytic.estimate_level(
-            analytic.StreamSummary.from_stream(stream), CACHE
-        )
+        est = estimate(summary(stream))
         hits, misses, _ = exact_counts(stream, CACHE)
         assert est.misses == misses
         assert est.hits == hits
@@ -86,9 +102,7 @@ class TestSingleAddress:
     def test_matches_exact(self):
         buffer = make_buffer(4096)
         stream = AccessStream.single_address(buffer, count=500)
-        est = analytic.estimate_level(
-            analytic.StreamSummary.from_stream(stream), CACHE
-        )
+        est = estimate(summary(stream))
         hits, misses, _ = exact_counts(stream, CACHE)
         assert est.misses == misses == 1
         assert est.hits == hits
@@ -98,9 +112,7 @@ class TestSparse:
     def test_oversized_sparse_all_miss(self):
         buffer = make_buffer(256 * 1024)
         stream = AccessStream.sparse(buffer, count=2000, line_size=64, seed=1)
-        est = analytic.estimate_level(
-            analytic.StreamSummary.from_stream(stream), CACHE
-        )
+        est = estimate(summary(stream))
         hits, misses, _ = exact_counts(stream, CACHE)
         assert est.misses == misses == 2000
         assert hits == 0
@@ -109,9 +121,7 @@ class TestSparse:
         buffer = make_buffer(8 * 1024)
         stream = AccessStream.sparse(buffer, count=128, line_size=64, seed=1)
         stream = stream.with_repeats(3)
-        est = analytic.estimate_level(
-            analytic.StreamSummary.from_stream(stream), CACHE
-        )
+        est = estimate(summary(stream))
         hits, misses, _ = exact_counts(stream, CACHE)
         assert est.misses == misses
         assert est.hits == hits
@@ -121,63 +131,59 @@ class TestDisabledAndEdge:
     def test_disabled_level_all_misses(self):
         buffer = make_buffer(4096)
         stream = AccessStream.linear(buffer)
-        est = analytic.estimate_level(
-            analytic.StreamSummary.from_stream(stream), CACHE, enabled=False
-        )
+        est = estimate(summary(stream), enabled=False)
         assert est.hits == 0
         assert est.misses == stream.total_transactions
 
     def test_unsupported_pattern_rejected(self):
-        summary = analytic.StreamSummary(
-            pattern=PatternKind.CUSTOM, per_pass=10, repeats=1,
-            footprint_bytes=40, write_fraction=0.0, transaction_size=4,
-        )
         with pytest.raises(SimulationError):
-            analytic.estimate_level(summary, CACHE)
+            estimate(single(PatternKind.CUSTOM, 10))
 
     def test_empty_summary(self):
-        summary = analytic.StreamSummary(
-            pattern=PatternKind.LINEAR, per_pass=0, repeats=1,
-            footprint_bytes=0, write_fraction=0.0, transaction_size=4,
-        )
-        est = analytic.estimate_level(summary, CACHE)
+        est = estimate(single(PatternKind.LINEAR, 0))
         assert est.accesses == 0
+
+    def test_idle_unsupported_pattern_is_all_zero(self):
+        # An empty CUSTOM stream (a task with no memory pattern) is idle
+        # whatever its tag: zeros, not an unsupported-pattern error.
+        est = estimate(summary(AccessStream.empty()))
+        assert vars(est) == dict.fromkeys(vars(est), 0)
 
 
 class TestDeriveMissSummary:
     def test_no_misses_yields_none(self):
         buffer = make_buffer(1024)
         stream = AccessStream.single_address(buffer, count=10)
-        summary = analytic.StreamSummary.from_stream(stream)
-        est = analytic.estimate_level(summary, CACHE, cold_start=False)
-        assert analytic.derive_miss_summary(summary, est, CACHE, True) is None
+        batch = summary(stream)
+        est = analytic.estimate_level(batch, CACHE, cold_start=False)
+        assert analytic.derive_miss_batches(batch, est, CACHE, True) == []
 
     def test_fitting_sweep_derives_single_cold_pass(self):
         buffer = make_buffer(8 * 1024)
         stream = AccessStream.linear(buffer, read_write_pairs=False, repeats=4)
-        summary = analytic.StreamSummary.from_stream(stream)
-        est = analytic.estimate_level(summary, CACHE)
-        derived = analytic.derive_miss_summary(summary, est, CACHE, True)
-        assert derived.repeats == 1
-        assert derived.per_pass == 8 * 1024 // 64
-        assert derived.transaction_size == 64
+        batch = summary(stream)
+        est = analytic.estimate_level(batch, CACHE)
+        derived = analytic.derive_miss_batches(batch, est, CACHE, True)[0]
+        assert derived.repeats.tolist() == [1]
+        assert derived.per_pass.tolist() == [8 * 1024 // 64]
+        assert derived.transaction_size.tolist() == [64]
 
     def test_thrashing_sweep_derives_repeating_traffic(self):
         buffer = make_buffer(64 * 1024)
         stream = AccessStream.linear(buffer, read_write_pairs=False, repeats=4)
-        summary = analytic.StreamSummary.from_stream(stream)
-        est = analytic.estimate_level(summary, CACHE)
-        derived = analytic.derive_miss_summary(summary, est, CACHE, True)
-        assert derived.repeats == 4
-        assert derived.per_pass == 64 * 1024 // 64
+        batch = summary(stream)
+        est = analytic.estimate_level(batch, CACHE)
+        derived = analytic.derive_miss_batches(batch, est, CACHE, True)[0]
+        assert derived.repeats.tolist() == [4]
+        assert derived.per_pass.tolist() == [64 * 1024 // 64]
 
     def test_disabled_level_passes_summary_through(self):
         buffer = make_buffer(8 * 1024)
         stream = AccessStream.linear(buffer)
-        summary = analytic.StreamSummary.from_stream(stream)
-        est = analytic.estimate_level(summary, CACHE, enabled=False)
-        derived = analytic.derive_miss_summary(summary, est, CACHE, False)
-        assert derived == summary
+        batch = summary(stream)
+        est = analytic.estimate_level(batch, CACHE, enabled=False)
+        derived = analytic.derive_miss_batches(batch, est, CACHE, False)
+        assert len(derived) == 1 and derived[0] is batch
 
 
 @given(
@@ -191,9 +197,7 @@ def test_property_sweep_estimates_track_exact(footprint_lines, repeats, pairs):
     hit counts match the exact simulator exactly."""
     buffer = make_buffer(footprint_lines * 64)
     stream = AccessStream.linear(buffer, read_write_pairs=pairs, repeats=repeats)
-    est = analytic.estimate_level(
-        analytic.StreamSummary.from_stream(stream), CACHE
-    )
+    est = estimate(summary(stream))
     hits, misses, _ = exact_counts(stream, CACHE)
     assert est.misses == misses
     assert est.hits == hits
