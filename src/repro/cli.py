@@ -372,26 +372,30 @@ def cmd_crosscheck(args: argparse.Namespace):
 
 
 def cmd_cache(args: argparse.Namespace) -> str:
-    """Inspect or clear the persistent characterization store."""
+    """Inspect or clear the persistent store of characterizations and
+    profiles."""
     from repro.perf.cache import ShardedCharacterizationStore
 
     store = ShardedCharacterizationStore(args.dir)
     if args.action == "clear":
         removed = store.clear()
-        return (f"removed {removed} cached characterization(s) from "
-                f"{store.directory}")
+        return (f"removed {removed} cached characterization(s) and "
+                f"profile(s) from {store.directory}")
     if getattr(args, "json", False):
         import json
 
         return json.dumps(store.stats_payload(), indent=2, sort_keys=True)
-    scanned = store.scan()
-    corrupt = [(path, reason) for path, status, reason in scanned
-               if status == "corrupt"]
-    lines = [f"characterization cache at {store.directory}: "
-             f"{len(scanned)} entry(ies), {len(corrupt)} corrupt"]
-    for path, status, reason in scanned:
-        lines.append(f"  {path.name} ({path.stat().st_size} bytes) "
-                     f"[{status}: {reason}]")
+    payload = store.stats_payload()
+    entries = payload["entries"]
+    corrupt = [entry for entry in entries if entry["status"] == "corrupt"]
+    kinds = payload["kinds"]
+    lines = [f"store at {store.directory}: "
+             f"{len(entries)} entry(ies), {len(corrupt)} corrupt — "
+             f"{kinds['characterization']} characterization(s), "
+             f"{kinds['profile']} profile(s)"]
+    for entry in entries:
+        lines.append(f"  {entry['name']} ({entry['bytes']} bytes) "
+                     f"[{entry['status']}: {entry['reason']}]")
     if corrupt:
         lines.append("corrupt entries are treated as misses; "
                      "`repro cache clear` removes them")
@@ -893,7 +897,8 @@ def build_parser() -> argparse.ArgumentParser:
             add_surrogate_flag(p)
 
     p = sub.add_parser(
-        "cache", help="inspect or clear the characterization cache")
+        "cache", help="inspect or clear the store of characterizations "
+                      "and profiles")
     p.add_argument("action", choices=["info", "clear"])
     p.add_argument("--dir", default=None,
                    help="cache directory (default: $REPRO_CACHE_DIR or "

@@ -8,12 +8,20 @@ workflow characterizes a device once and reuses the result across
 applications — and, when a :class:`~repro.perf.cache.CharacterizationCache`
 is attached, persisted on disk across processes under a content hash
 of the board and the suite's parameters.
+
+Application profiles take the same path (:meth:`MicrobenchmarkSuite.
+profile`): the paper profiles an application once and decides from its
+counters, and an :class:`~repro.profiling.counters.AppProfile` is a
+pure function of the workload's content, the board, the model and the
+timing backend, so it is memoized and persisted under a content hash of
+exactly those.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
+                    Sequence, Tuple)
 
 from repro import obs
 from repro.errors import MicrobenchmarkError, ModelError
@@ -21,6 +29,8 @@ from repro.microbench.first import FirstBenchResult, FirstMicroBenchmark
 from repro.microbench.second import SecondBenchResult, SecondMicroBenchmark
 from repro.microbench.third import ThirdBenchResult, ThirdMicroBenchmark
 from repro.model.device import DeviceCharacterization
+from repro.profiling.counters import AppProfile
+from repro.profiling.profiler import Profiler
 from repro.resilience.deadline import checkpoint
 from repro.resilience.retry import RetryPolicy
 from repro.sim.backend import get_backend
@@ -78,6 +88,9 @@ class MicrobenchmarkSuite:
         #: ``dataclasses.replace`` variant) is characterized afresh.
         self._cache: Dict[BoardConfig, DeviceCharacterization] = {}
         self._raw: Dict[BoardConfig, SuiteResults] = {}
+        #: In-memory profile memo keyed by the profile's content key
+        #: (:func:`repro.perf.cache.cache_key` with a workload).
+        self._profiles: Dict[str, AppProfile] = {}
 
     def run_all(self, board: BoardConfig) -> SuiteResults:
         """Run MB1-MB3 on a fresh SoC for ``board``.
@@ -128,7 +141,17 @@ class MicrobenchmarkSuite:
             },
         }
 
-    def _persistent_load(self, board: BoardConfig):
+    def profile_signature(self, model: str) -> Dict[str, Any]:
+        """What keys a profile entry besides the board and the
+        workload's content: the communication model and the timing
+        backend with its ``SimConfig``."""
+        return {"backend": self.backend.cache_token(), "model": model.upper()}
+
+    def _persistent_load(self, board: BoardConfig,
+                         signature: Optional[Dict[str, Any]] = None,
+                         workload=None):
+        """The stored characterization (or, with ``workload``, profile
+        under ``signature``); None without a store or under injection."""
         if self.cache is None:
             return None
         from repro.robustness.inject import injection_active
@@ -137,19 +160,43 @@ class MicrobenchmarkSuite:
             # A cached result was computed outside the fault plan's
             # reach; using it would mask the injected faults.
             return None
-        return self.cache.load(board, self.cache_signature())
+        if signature is None:
+            signature = self.cache_signature()
+        return self.cache.load(board, signature, workload)
 
-    def _persistent_store(
-        self, board: BoardConfig, device: DeviceCharacterization
-    ) -> None:
+    def _persistent_store(self, board: BoardConfig, value,
+                          signature: Optional[Dict[str, Any]] = None,
+                          workload=None) -> None:
         if self.cache is None:
             return
         from repro.robustness.inject import injection_active
 
         if injection_active():
-            # Never persist a perturbed characterization.
+            # Never persist a perturbed result.
             return
-        self.cache.store(board, self.cache_signature(), device)
+        if signature is None:
+            signature = self.cache_signature()
+        self.cache.store(board, signature, value, workload)
+
+    def _through_caches(self, counter: str, memo: Dict[Any, Any], memo_key,
+                        load: Callable[[], Any], compute: Callable[[], Any]
+                        ) -> Tuple[Any, str]:
+        """memory → store → compute: the one cache path of both entry
+        kinds.  Returns the value and where it came from (``"memo"``,
+        ``"store"`` or ``"computed"``); ``compute`` persists what it
+        computes, and every answer is memoized."""
+        hit = memo.get(memo_key)
+        if hit is not None:
+            obs.counter_inc(f"{counter}.memory_hit")
+            return hit, "memo"
+        persisted = load()
+        if persisted is not None:
+            obs.counter_inc(f"{counter}.store_hit")
+            memo[memo_key] = persisted
+            return persisted, "store"
+        value = compute()
+        memo[memo_key] = value
+        return value, "computed"
 
     def characterize(self, board: BoardConfig, force: bool = False,
                      retry_policy: Optional[RetryPolicy] = None
@@ -174,19 +221,52 @@ class MicrobenchmarkSuite:
         last error is re-raised as ``MICROBENCH_RETRIES_EXHAUSTED``,
         annotated with the attempt count.
         """
-        if not force:
-            hit = self._cache.get(board)
-            if hit is not None:
-                obs.counter_inc("microbench.characterize.memory_hit")
-                return hit
-            persisted = self._persistent_load(board)
-            if persisted is not None:
-                self._cache[board] = persisted
-                return persisted
         policy = retry_policy or RetryPolicy(max_attempts=1)
-        characterization = self._characterize_deduped(board, policy, force)
-        self._cache[board] = characterization
-        return characterization
+        if force:
+            device = self._characterize_deduped(board, policy, force)
+            self._cache[board] = device
+            return device
+        device, _ = self._through_caches(
+            "microbench.characterize", self._cache, board,
+            load=lambda: self._persistent_load(board),
+            compute=lambda: self._characterize_deduped(board, policy, force))
+        return device
+
+    def profile(self, workload, board: BoardConfig,
+                model: str = "SC") -> Tuple[AppProfile, str]:
+        """Profile ``workload`` on ``board`` under ``model``, once per
+        content: the profile and where it came from (``"memo"``,
+        ``"store"`` or ``"computed"``).
+
+        A profile is keyed by the workload's content, the board, the
+        model, the timing backend and the package version, never by a
+        name.  A miss runs :meth:`Profiler.profile` (the exact
+        simulation) on a fresh SoC and persists the result.  Under
+        fault injection every call simulates and nothing is memoized or
+        persisted: each profile call is a fault site.  Concurrent misses
+        may both simulate; their results are equal.
+        """
+        from repro.perf.cache import cache_key
+        from repro.robustness.inject import injection_active
+
+        def simulate() -> AppProfile:
+            soc = SoC(board, backend=self.backend)
+            return Profiler(soc).profile(workload, model=model)
+
+        if injection_active():
+            return simulate(), "computed"
+        signature = self.profile_signature(model)
+
+        def simulate_and_persist() -> AppProfile:
+            value = simulate()
+            self._persistent_store(board, value, signature, workload)
+            return value
+
+        return self._through_caches(
+            "profiling.profile", self._profiles,
+            cache_key(board, signature, workload),
+            load=lambda: self._persistent_load(board, signature, workload),
+            compute=simulate_and_persist)
 
     def memoized(self, board: BoardConfig
                  ) -> Optional[DeviceCharacterization]:

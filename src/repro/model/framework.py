@@ -44,7 +44,6 @@ if TYPE_CHECKING:  # avoid a circular import with repro.microbench
 from repro.model.device import DeviceCharacterization
 from repro.profiling.counters import AppProfile
 from repro.profiling.metrics import profile_cpu_cache_usage, profile_gpu_cache_usage
-from repro.profiling.profiler import Profiler
 from repro.soc.board import BoardConfig
 from repro.soc.soc import ALL_MODELS, SoC
 
@@ -233,8 +232,8 @@ class Framework:
 
             suite.cache = ShardedCharacterizationStore(cache_dir)
         self.suite = suite
-        #: Timing backend of every stage (characterization SoCs come
-        #: from the suite; profiling and validation SoCs are built here).
+        #: Timing backend of every stage (characterization and profiling
+        #: SoCs come from the suite; validation SoCs are built here).
         self.backend = suite.backend
         self.breakers = breakers
         self.retry_policy = retry_policy
@@ -269,14 +268,18 @@ class Framework:
 
     def profile(self, workload: Workload, board: BoardConfig,
                 model: str = "SC") -> AppProfile:
-        """Profile the application under one communication model."""
+        """Profile the application under one communication model, once
+        per content (see :meth:`MicrobenchmarkSuite.profile`); the span's
+        ``source`` says whether the memo, the store or a simulation
+        answered."""
         checkpoint("profile", workload=workload.name)
         with obs.span("profile", workload=workload.name, board=board.name,
-                      model=model, backend=self.backend.name):
-            soc = SoC(board, backend=self.backend)
-            return self._guarded(
-                "profile", lambda: Profiler(soc).profile(workload, model=model)
-            )
+                      model=model, backend=self.backend.name) as span:
+            profile, source = self._guarded(
+                "profile",
+                lambda: self.suite.profile(workload, board, model=model))
+            span.set(source=source)
+            return profile
 
     def tune(self, workload: Workload, board: BoardConfig,
              current_model: str = "SC", strict: bool = True,

@@ -21,12 +21,8 @@ the application pipelines and must stay out of this namespace to keep
 the microbench → perf import edge acyclic.)
 """
 
-from repro.perf.batch import (
-    BatchUnsupported,
-    mb2_cpu_points,
-    mb2_gpu_points,
-    vectorized_second_sweep,
-)
+import importlib
+
 from repro.perf.cache import (
     CharacterizationCache,
     ShardedCharacterizationStore,
@@ -37,7 +33,31 @@ from repro.perf.cache import (
     default_cache_dir,
     default_store_budget,
 )
-from repro.perf.parallel import ParallelRunner
+
+#: Names served on first access (PEP 562): the batch engine and the
+#: process pool (``concurrent.futures.process``) stay unloaded for
+#: callers that only need the store, such as a ``repro tune`` process.
+_LAZY = {
+    "BatchUnsupported": "repro.perf.batch",
+    "mb2_cpu_points": "repro.perf.batch",
+    "mb2_gpu_points": "repro.perf.batch",
+    "vectorized_second_sweep": "repro.perf.batch",
+    "ParallelRunner": "repro.perf.parallel",
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __all__ = [
     "BatchUnsupported",

@@ -1,12 +1,23 @@
-"""Persistent on-disk characterization cache.
+"""Persistent on-disk store of characterizations and app profiles.
 
 The paper's workflow characterizes a device once and reuses the result
-across applications; this module extends the suite's in-memory reuse
-across *processes*.  Each entry is one JSON file keyed by a content
-hash over the full :class:`~repro.soc.board.BoardConfig`, the
-micro-benchmark parameters and the package version — editing a board
-preset, re-parameterizing a sweep or upgrading the package all
-invalidate the entry automatically.  ``repro cache clear`` (or
+across applications, and profiles an application once and decides from
+its counters; this module extends the suite's in-memory reuse of both
+across *processes*.  Each entry is one JSON file of one of two kinds,
+keyed by :func:`cache_key`, a content hash over its inputs and the
+package version:
+
+- a **characterization** (``kind: "characterization"``; an entry
+  without a ``kind`` is one, as in stores written before profiles
+  joined): the full :class:`~repro.soc.board.BoardConfig` and the
+  micro-benchmark parameters;
+- a **profile** (``kind: "profile"``): the board, the workload's
+  content, the communication model and the timing backend with its
+  ``SimConfig``.
+
+Editing a board preset, a workload, a sweep parameter or upgrading the
+package all invalidate the entry automatically.  A model edit that
+keeps the version does not: ``repro cache clear`` (or
 :meth:`CharacterizationCache.clear`) invalidates explicitly.
 
 Entries are written atomically (temp file + ``os.replace``) and any
@@ -36,6 +47,8 @@ from the directory, never trusted over it.
 from __future__ import annotations
 
 import dataclasses
+import enum
+import functools
 import hashlib
 import json
 import os
@@ -44,11 +57,14 @@ import tempfile
 import threading
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+import numpy as np
+
 import repro
 from repro import obs
 from repro.errors import ReproError
 from repro.model.device import DeviceCharacterization
 from repro.model.thresholds import SweepPoint, ThresholdAnalysis
+from repro.profiling.counters import AppProfile
 from repro.soc.board import BoardConfig
 
 #: Environment variable overriding the default cache directory.
@@ -67,6 +83,11 @@ DEFAULT_STORE_BUDGET = 64 * 1024 * 1024
 
 #: Per-shard LRU index file name (never globbed as an entry).
 INDEX_NAME = "_index.json"
+
+#: The two entry kinds; an entry without a ``kind`` field is a
+#: characterization.
+CHARACTERIZATION = "characterization"
+PROFILE = "profile"
 
 
 def default_cache_dir() -> pathlib.Path:
@@ -132,14 +153,89 @@ def characterization_from_dict(data: Mapping[str, Any]) -> DeviceCharacterizatio
     )
 
 
-def cache_key(board: BoardConfig, signature: Mapping[str, Any]) -> str:
-    """Content hash identifying one characterization's inputs."""
-    payload = {
-        "board": dataclasses.asdict(board),
-        "microbench": dict(signature),
-        "version": repro.__version__,
-    }
-    blob = json.dumps(payload, sort_keys=True, default=str)
+#: Entry kind -> (envelope field of its value, encoder, decoder).
+_CODECS = {
+    CHARACTERIZATION: ("device", characterization_to_dict,
+                       characterization_from_dict),
+    PROFILE: ("profile", AppProfile.to_dict, AppProfile.from_dict),
+}
+
+
+def _decoded(kind: str, data: Mapping[str, Any]):
+    """The value of one entry's payload (raises when it is broken)."""
+    field, _, decode = _CODECS[kind]
+    return decode(data[field])
+
+
+def _kind(workload: Any) -> str:
+    """The kind of the entry a load/store addresses."""
+    return CHARACTERIZATION if workload is None else PROFILE
+
+
+@functools.lru_cache(maxsize=None)
+def _dataclass_layout(cls: type) -> Tuple[str, Tuple[str, ...]]:
+    """A dataclass type's qualified name and field names."""
+    return (f"{cls.__module__}.{cls.__qualname__}",
+            tuple(f.name for f in dataclasses.fields(cls)))
+
+
+def _content(value: Any) -> Any:
+    """JSON-ready content of a workload: dataclasses are tagged with
+    their type (two pattern classes with equal fields differ), arrays
+    are their dtype, shape and digest."""
+    cls = type(value)
+    if hasattr(cls, "__dataclass_fields__"):
+        type_name, names = _dataclass_layout(cls)
+        out = {"type": type_name}
+        for name in names:
+            out[name] = _content(getattr(value, name))
+        return out
+    if isinstance(value, enum.Enum):
+        return _content(value.value)
+    if isinstance(value, np.ndarray):
+        data = np.ascontiguousarray(value)
+        return {"dtype": str(data.dtype), "shape": list(data.shape),
+                "sha256": hashlib.sha256(data.tobytes()).hexdigest()}
+    if isinstance(value, np.generic):
+        return value.item()
+    if isinstance(value, Mapping):
+        return {str(k): _content(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_content(v) for v in value]
+    return value
+
+
+def _dumps(value: Any) -> str:
+    return json.dumps(value, sort_keys=True, default=str)
+
+
+@functools.lru_cache(maxsize=256)
+def _board_json(board: BoardConfig) -> str:
+    """A board's canonical JSON, once per frozen board value."""
+    return _dumps(dataclasses.asdict(board))
+
+
+def cache_key(board: BoardConfig, signature: Mapping[str, Any],
+              workload: Any = None) -> str:
+    """Content hash identifying one store entry's inputs.
+
+    Without ``workload``: a characterization, keyed by the board and
+    the micro-benchmark ``signature``.  With it: the workload's profile
+    on the board, ``signature`` naming the model and the timing backend
+    (:meth:`~repro.microbench.suite.MicrobenchmarkSuite.
+    profile_signature`).  The package version is part of every key.
+
+    The hashed text is the ``sort_keys`` JSON of ``{"board", "microbench"
+    | "profile", "version"[, "workload"]}``, assembled from the board's
+    cached JSON so a key costs one board serialization per board value.
+    """
+    parts = [("board", _board_json(board)),
+             ("microbench" if workload is None else "profile",
+              _dumps(dict(signature))),
+             ("version", _dumps(repro.__version__))]
+    if workload is not None:
+        parts.append(("workload", _dumps(_content(workload))))
+    blob = "{" + ", ".join(f'"{name}": {text}' for name, text in parts) + "}"
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -149,7 +245,7 @@ def cache_key(board: BoardConfig, signature: Mapping[str, Any]) -> str:
 
 
 class CharacterizationCache:
-    """A directory of characterization JSON entries."""
+    """A directory of store entries: characterizations and profiles."""
 
     def __init__(self, directory: Optional[os.PathLike] = None) -> None:
         self.directory = pathlib.Path(directory) if directory is not None \
@@ -158,8 +254,14 @@ class CharacterizationCache:
         #: ``"hit"``, ``"miss"`` or ``"corrupt"`` (``None`` before any).
         self.last_outcome: Optional[str] = None
 
-    def _path(self, board_name: str, key: str) -> pathlib.Path:
-        return self.directory / f"{board_name}-{key[:16]}.json"
+    @staticmethod
+    def _name(board_name: str, key: str, kind: str) -> str:
+        infix = "-profile" if kind == PROFILE else ""
+        return f"{board_name}{infix}-{key[:16]}.json"
+
+    def _path(self, board_name: str, key: str,
+              kind: str = CHARACTERIZATION) -> pathlib.Path:
+        return self.directory / self._name(board_name, key, kind)
 
     def _outcome(self, outcome: str, path: pathlib.Path,
                  reason: str) -> None:
@@ -189,23 +291,27 @@ class CharacterizationCache:
         obs.event("perf.cache.quarantined", path=str(path),
                   quarantined_to=str(target), reason=reason)
 
-    def load(
-        self, board: BoardConfig, signature: Mapping[str, Any],
-        _key: Optional[str] = None,
-    ) -> Optional[DeviceCharacterization]:
-        """The cached characterization for these exact inputs, or None.
+    def load(self, board: BoardConfig, signature: Mapping[str, Any],
+             workload: Any = None):
+        """The stored entry for these exact inputs, or None.
+
+        Without ``workload`` the entry is the board's
+        :class:`DeviceCharacterization`; with it, the workload's
+        :class:`~repro.profiling.counters.AppProfile` (``signature``:
+        :meth:`~repro.microbench.suite.MicrobenchmarkSuite.
+        profile_signature`).  Both kinds take the same path.
 
         Every call records a distinct outcome: ``hit``; ``miss`` for an
         absent or re-keyed (stale-parameters) entry; ``corrupt`` for a
         file that exists but cannot be read, parsed or rebuilt.  All
         non-hits return ``None`` — a damaged cache can slow a run down
         but never change a result.
-
-        ``_key`` lets a subclass that already paid for the content hash
-        pass it down instead of hashing the board twice per load.
         """
-        key = _key if _key is not None else cache_key(board, signature)
-        path = self._path(board.name, key)
+        return self._load(board.name, cache_key(board, signature, workload),
+                          _kind(workload))
+
+    def _load(self, board_name: str, key: str, kind: str):
+        path = self._path(board_name, key, kind)
         if not path.exists():
             self._outcome("miss", path, "absent")
             return None
@@ -226,32 +332,35 @@ class CharacterizationCache:
             self._outcome("miss", path, "key mismatch")
             return None
         try:
-            device = characterization_from_dict(data["device"])
+            value = _decoded(kind, data)
         except Exception as error:
             self._outcome("corrupt", path, f"broken payload: {error}")
             return None
         self._outcome("hit", path, "ok")
-        return device
+        return value
 
-    def store(
-        self,
-        board: BoardConfig,
-        signature: Mapping[str, Any],
-        device: DeviceCharacterization,
-        _key: Optional[str] = None,
-    ) -> pathlib.Path:
-        """Persist one characterization atomically; returns its path."""
-        key = _key if _key is not None else cache_key(board, signature)
-        path = self._path(board.name, key)
+    def store(self, board: BoardConfig, signature: Mapping[str, Any],
+              value, workload: Any = None) -> pathlib.Path:
+        """Persist one entry atomically (a characterization, or with
+        ``workload`` its profile, as in :meth:`load`); returns its
+        path."""
+        return self._store(board.name, cache_key(board, signature, workload),
+                           _kind(workload), value)
+
+    def _store(self, board_name: str, key: str, kind: str,
+               value) -> pathlib.Path:
+        path = self._path(board_name, key, kind)
+        field, encode, _ = _CODECS[kind]
         payload = {
             "key": key,
-            "board": board.name,
+            "kind": kind,
+            "board": board_name,
             "version": repro.__version__,
-            "device": characterization_to_dict(device),
+            field: encode(value),
         }
-        self.directory.mkdir(parents=True, exist_ok=True)
+        path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(
-            dir=str(self.directory), prefix=path.name, suffix=".tmp"
+            dir=str(path.parent), prefix=path.name, suffix=".tmp"
         )
         try:
             with os.fdopen(fd, "w") as handle:
@@ -288,30 +397,43 @@ class CharacterizationCache:
 
     @staticmethod
     def classify(path: pathlib.Path) -> Tuple[str, str]:
-        """``("ok"|"corrupt", reason)`` for one entry file.
+        """``("ok"|"corrupt", reason)`` for one entry file of either
+        kind.
 
-        Key staleness cannot be judged without the live board and suite
-        parameters, so this checks structural integrity only: readable,
-        valid JSON, the expected envelope, and a payload that rebuilds
-        into a :class:`DeviceCharacterization`.
+        Key staleness cannot be judged without the live inputs, so this
+        checks structural integrity only: readable, valid JSON, the
+        expected envelope of a known kind, and a payload that rebuilds
+        into a :class:`DeviceCharacterization` or an
+        :class:`~repro.profiling.counters.AppProfile`.
         """
+        status, reason, _ = CharacterizationCache._inspect(path)
+        return status, reason
+
+    @staticmethod
+    def _inspect(path: pathlib.Path) -> Tuple[str, str, Optional[str]]:
+        """:meth:`classify` plus the entry's kind (None if unknown)."""
         try:
             data = json.loads(path.read_text())
         except OSError:
-            return "corrupt", "unreadable"
+            return "corrupt", "unreadable", None
         except ValueError:
-            return "corrupt", "invalid JSON"
+            return "corrupt", "invalid JSON", None
         if not isinstance(data, dict):
-            return "corrupt", "not a JSON object"
-        missing = [k for k in ("key", "board", "version", "device")
+            return "corrupt", "not a JSON object", None
+        kind = data.get("kind", CHARACTERIZATION)
+        if not isinstance(kind, str) or kind not in _CODECS:
+            return "corrupt", f"unknown kind {kind!r}", None
+        missing = [k for k in ("key", "board", "version", _CODECS[kind][0])
                    if k not in data]
         if missing:
-            return "corrupt", f"missing field(s): {', '.join(missing)}"
+            return ("corrupt",
+                    f"missing field(s): {', '.join(missing)}", kind)
         try:
-            characterization_from_dict(data["device"])
+            _decoded(kind, data)
         except Exception as error:
-            return "corrupt", f"broken payload: {error}"
-        return "ok", f"board {data['board']}, version {data['version']}"
+            return "corrupt", f"broken payload: {error}", kind
+        return ("ok", f"{kind}, board {data['board']}, "
+                f"version {data['version']}", kind)
 
     def scan(self) -> List[Tuple[pathlib.Path, str, str]]:
         """Classify every on-disk entry as ``(path, status, reason)``."""
@@ -373,7 +495,7 @@ def default_store_budget() -> int:
 
 
 class ShardedCharacterizationStore(CharacterizationCache):
-    """A multi-tenant shared characterization store.
+    """A multi-tenant shared store of characterizations and profiles.
 
     Same correctness contract as :class:`CharacterizationCache` (a
     damaged store is slower, never wrong) plus the serving-scale
@@ -438,9 +560,10 @@ class ShardedCharacterizationStore(CharacterizationCache):
     def shard_dir(self, shard: int) -> pathlib.Path:
         return self.directory / self.shard_name(shard)
 
-    def _path(self, board_name: str, key: str) -> pathlib.Path:
+    def _path(self, board_name: str, key: str,
+              kind: str = CHARACTERIZATION) -> pathlib.Path:
         return self.shard_dir(self.shard_of(key)) / \
-            f"{board_name}-{key[:16]}.json"
+            self._name(board_name, key, kind)
 
     @property
     def shard_budget(self) -> int:
@@ -448,43 +571,37 @@ class ShardedCharacterizationStore(CharacterizationCache):
         return max(1, self.max_bytes // self.num_shards)
 
     # ------------------------------------------------------------------
-    # load/store with LRU accounting
+    # load/store with LRU accounting (both entry kinds)
     # ------------------------------------------------------------------
 
-    def load(
-        self, board: BoardConfig, signature: Mapping[str, Any]
-    ) -> Optional[DeviceCharacterization]:
-        key = cache_key(board, signature)
-        self._migrate_flat(board.name, key)
-        device = super().load(board, signature, _key=key)
+    def load(self, board: BoardConfig, signature: Mapping[str, Any],
+             workload: Any = None):
+        kind = _kind(workload)
+        key = cache_key(board, signature, workload)
+        self._migrate_flat(board.name, key, kind)
+        value = self._load(board.name, key, kind)
         shard = self.shard_of(key)
-        if device is not None:
+        if value is not None:
             obs.counter_inc(f"perf.store.shard.{shard:02x}.hit")
-            self._touch(self._path(board.name, key))
+            self._touch(self._path(board.name, key, kind))
         else:
             obs.counter_inc(f"perf.store.shard.{shard:02x}.miss")
-        return device
+        return value
 
-    def store(
-        self,
-        board: BoardConfig,
-        signature: Mapping[str, Any],
-        device: DeviceCharacterization,
-    ) -> pathlib.Path:
-        key = cache_key(board, signature)
-        path = self._path(board.name, key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        stored = super().store(board, signature, device, _key=key)
+    def store(self, board: BoardConfig, signature: Mapping[str, Any],
+              value, workload: Any = None) -> pathlib.Path:
+        stored = self._store(board.name, cache_key(board, signature, workload),
+                             _kind(workload), value)
         self._record_store(stored)
         return stored
 
-    def _migrate_flat(self, board_name: str, key: str) -> None:
+    def _migrate_flat(self, board_name: str, key: str, kind: str) -> None:
         """Adopt a legacy flat-layout entry into its shard (best
         effort) so a pre-shard cache keeps its warm state."""
-        flat = self.directory / f"{board_name}-{key[:16]}.json"
+        flat = self.directory / self._name(board_name, key, kind)
         if not flat.is_file():
             return
-        target = self._path(board_name, key)
+        target = self._path(board_name, key, kind)
         try:
             target.parent.mkdir(parents=True, exist_ok=True)
             os.replace(str(flat), str(target))
@@ -545,7 +662,7 @@ class ShardedCharacterizationStore(CharacterizationCache):
             fd, tmp = tempfile.mkstemp(dir=str(shard_dir), prefix="_index",
                                        suffix=".tmp")
             with os.fdopen(fd, "w") as handle:
-                json.dump(index, handle, sort_keys=True)
+                handle.write(json.dumps(index, sort_keys=True))
             os.replace(tmp, path)
         except OSError:
             pass
@@ -651,14 +768,19 @@ class ShardedCharacterizationStore(CharacterizationCache):
         scripts consume this instead of scraping the table)."""
         entries = []
         quarantined_total = 0
-        for path, status, reason in self.scan():
+        kinds = {kind: 0 for kind in _CODECS}
+        for path in self.entries():
+            status, reason, kind = self._inspect(path)
             try:
                 size = path.stat().st_size
             except OSError:
                 size = 0
+            if status == "ok":
+                kinds[kind] += 1
             entries.append({
                 "name": path.name,
                 "shard": path.parent.name,
+                "kind": kind,
                 "bytes": size,
                 "status": status,
                 "reason": reason,
@@ -682,6 +804,7 @@ class ShardedCharacterizationStore(CharacterizationCache):
             "shard_budget": self.shard_budget,
             "entries": entries,
             "total_entries": len(entries),
+            "kinds": kinds,
             "total_bytes": sum(e["bytes"] for e in entries),
             "quarantined": quarantined_total,
             "shards": shards,

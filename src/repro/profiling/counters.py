@@ -13,8 +13,10 @@ garbage into eqns 1–4 is rejected at construction with a structured
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
+from typing import Any, Dict, Mapping
 
 from repro.errors import ProfilingError
 
@@ -97,6 +99,24 @@ class AppProfile:
                 details={"copy_time_s": self.copy_time_s,
                          "total_runtime_s": self.total_runtime_s},
             )
+
+    def to_dict(self) -> Dict[str, Any]:
+        """JSON-friendly view (round-trips exactly: JSON floats are
+        ``repr``-exact)."""
+        return dataclasses.asdict(self)
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]) -> "AppProfile":
+        """Rebuild a profile from :meth:`to_dict` (re-validated)."""
+        names = [f.name for f in dataclasses.fields(cls)]
+        missing = [name for name in names if name not in data]
+        if missing:
+            raise ProfilingError(
+                f"profile record misses counter(s): {', '.join(missing)}",
+                code="PROFILE_COUNTER_MISSING",
+                details={"missing": missing},
+            )
+        return cls(**{name: data[name] for name in names})
 
     @property
     def gpu_bytes_requested(self) -> float:

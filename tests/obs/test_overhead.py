@@ -4,7 +4,10 @@ The tentpole contract: with the kill switch off, the instrumented hot
 paths must cost within 2 % of what they would cost with no
 instrumentation at all.  "No instrumentation at all" is simulated by
 monkeypatching the obs entry points to bare no-ops — one Python-level
-call, strictly cheaper than any real implementation could be — and the
+call, strictly cheaper than any real implementation could be.  Each
+attempt times baseline and disabled runs in interleaved pairs (the
+order alternating pair by pair), so a slow spell of a shared host hits
+both sides instead of whichever block ran during it, and the
 comparison retries a few times so one noisy scheduler tick cannot fail
 CI.  An absolute per-call bound backstops the relative check.
 """
@@ -40,13 +43,14 @@ def _run_probe(workload, board):
     return get_model("SC").execute(workload, SoC(board))
 
 
-def _best_of(fn, repeats=3):
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+#: Baseline/disabled pairs per attempt; each side keeps its best run.
+PAIRS = 3
+
+
+def _timed(fn):
+    start = time.perf_counter()
+    fn()
+    return time.perf_counter() - start
 
 
 def _noop_span(name, **attributes):
@@ -62,25 +66,37 @@ class TestDisabledOverhead:
         workload, board = _workload()
         _run_probe(workload, board)  # warm every import and cache
 
-        last_ratio = None
-        for _ in range(ATTEMPTS):
-            # Baseline: instrumentation erased entirely.
+        def baseline():
+            # Instrumentation erased entirely.
             monkeypatch.setattr(obs, "span", _noop_span)
             monkeypatch.setattr(obs, "event", _noop)
             monkeypatch.setattr(obs, "counter_inc", _noop)
             monkeypatch.setattr(obs, "gauge_set", _noop)
             monkeypatch.setattr(obs, "observe", _noop)
-            baseline = _best_of(lambda: _run_probe(workload, board))
-            monkeypatch.undo()
+            try:
+                return _timed(lambda: _run_probe(workload, board))
+            finally:
+                monkeypatch.undo()
 
-            # Measured: the real call sites behind the kill switch.
+        def disabled():
+            # The real call sites behind the kill switch.
             state.disable()
             try:
-                disabled = _best_of(lambda: _run_probe(workload, board))
+                return _timed(lambda: _run_probe(workload, board))
             finally:
                 state.enable()
 
-            last_ratio = disabled / baseline
+        last_ratio = None
+        for _ in range(ATTEMPTS):
+            baselines, disableds = [], []
+            for pair in range(PAIRS):
+                if pair % 2:
+                    disableds.append(disabled())
+                    baselines.append(baseline())
+                else:
+                    baselines.append(baseline())
+                    disableds.append(disabled())
+            last_ratio = min(disableds) / min(baselines)
             if last_ratio <= 1.0 + OVERHEAD_LIMIT:
                 return
         pytest.fail(

@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -244,3 +246,24 @@ class TestSuiteIntegration:
     def test_default_directory_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "alt"))
         assert default_cache_dir() == tmp_path / "alt"
+
+
+class TestLazyNamespace:
+    def test_store_import_loads_no_process_pool(self):
+        """``repro tune`` reaches the store through ``repro.perf``; the
+        batch engine and the process pool stay unloaded until used."""
+        code = ("import sys, repro.perf.cache; print(sorted(m for m in ("
+                "'repro.perf.parallel', 'repro.perf.batch', "
+                "'concurrent.futures.process') if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True, timeout=120)
+        assert out.stdout.strip() == "[]"
+
+    def test_lazy_names_resolve(self):
+        import repro.perf
+        from repro.perf.parallel import ParallelRunner
+
+        assert repro.perf.ParallelRunner is ParallelRunner
+        assert set(repro.perf.__all__) <= set(dir(repro.perf))
+        with pytest.raises(AttributeError):
+            repro.perf.no_such_name

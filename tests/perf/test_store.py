@@ -164,6 +164,158 @@ class TestLruEviction:
         assert len(rebuilt["entries"]) == len(store.entries())
 
 
+@pytest.fixture(scope="module")
+def profiled():
+    """(profile signature, shwfs workload, its tx2 profile), computed
+    once for the module."""
+    from repro.apps.shwfs import build_shwfs_workload
+
+    suite = MicrobenchmarkSuite()
+    workload = build_shwfs_workload()
+    profile, source = suite.profile(workload, get_board("tx2"))
+    assert source == "computed"
+    return suite.profile_signature("SC"), workload, profile
+
+
+class TestProfileEntries:
+    """The second entry kind: profiles share the store's tooling."""
+
+    def test_profile_round_trips_through_its_shard(self, tmp_path,
+                                                   profiled):
+        signature, workload, profile = profiled
+        store = ShardedCharacterizationStore(tmp_path)
+        board = get_board("tx2")
+        path = store.store(board, signature, profile, workload)
+        shard = store.shard_of(cache_key(board, signature, workload))
+        assert path.parent.name == store.shard_name(shard)
+        assert json.loads(path.read_text())["kind"] == "profile"
+        assert store.load(board, signature, workload) == profile
+        assert store.last_outcome == "hit"
+
+    def test_kinds_never_collide(self, tmp_path, characterized, profiled):
+        char_signature, device = characterized
+        signature, workload, profile = profiled
+        store = ShardedCharacterizationStore(tmp_path)
+        board = get_board("tx2")
+        store.store(board, char_signature, device)
+        assert store.load(board, signature, workload) is None
+        store.store(board, signature, profile, workload)
+        assert store.load(board, char_signature) == device
+        assert store.load(board, signature, workload) == profile
+
+    def test_scan_classifies_both_kinds(self, tmp_path, characterized,
+                                        profiled):
+        char_signature, device = characterized
+        signature, workload, profile = profiled
+        store = ShardedCharacterizationStore(tmp_path)
+        store.store(get_board("tx2"), char_signature, device)
+        store.store(get_board("tx2"), signature, profile, workload)
+        reasons = sorted(reason for _, status, reason in store.scan()
+                         if status == "ok")
+        assert [r.split(",")[0] for r in reasons] == \
+            ["characterization", "profile"]
+
+    def test_entry_without_kind_is_a_characterization(self, tmp_path,
+                                                      characterized):
+        signature, device = characterized
+        store = ShardedCharacterizationStore(tmp_path)
+        board = get_board("tx2")
+        path = store.store(board, signature, device)
+        data = json.loads(path.read_text())
+        del data["kind"]  # as written before profiles joined the store
+        path.write_text(json.dumps(data))
+        assert store.classify(path)[0] == "ok"
+        assert store.load(board, signature) == device
+
+    @pytest.mark.parametrize("kind", ["surprise", ["profile"]])
+    def test_unknown_kind_is_corrupt(self, tmp_path, profiled, kind):
+        signature, workload, profile = profiled
+        store = ShardedCharacterizationStore(tmp_path)
+        path = store.store(get_board("tx2"), signature, profile, workload)
+        data = json.loads(path.read_text())
+        data["kind"] = kind
+        path.write_text(json.dumps(data))
+        assert store.classify(path) == ("corrupt", f"unknown kind {kind!r}")
+
+    @pytest.mark.parametrize("damage", ["{broken", "[]"])
+    def test_corrupt_profile_is_quarantined_and_missed(self, tmp_path,
+                                                       profiled, damage):
+        signature, workload, profile = profiled
+        store = ShardedCharacterizationStore(tmp_path)
+        board = get_board("tx2")
+        path = store.store(board, signature, profile, workload)
+        path.write_text(damage)
+        assert store.classify(path)[0] == "corrupt"
+        assert store.load(board, signature, workload) is None
+        assert store.last_outcome == "corrupt"
+        assert not path.exists()
+        assert [p.name for p in store.quarantined()] == \
+            [path.with_suffix(".corrupt").name]
+        # the next load is a plain miss; the next store rewrites it
+        assert store.load(board, signature, workload) is None
+        assert store.last_outcome == "miss"
+        store.store(board, signature, profile, workload)
+        assert store.load(board, signature, workload) == profile
+
+    def test_broken_profile_payload_is_corrupt(self, tmp_path, profiled):
+        signature, workload, profile = profiled
+        store = ShardedCharacterizationStore(tmp_path)
+        board = get_board("tx2")
+        path = store.store(board, signature, profile, workload)
+        data = json.loads(path.read_text())
+        data["profile"]["gpu_l1_hit_rate"] = 7.0  # not a rate
+        path.write_text(json.dumps(data))
+        assert store.load(board, signature, workload) is None
+        assert store.last_outcome == "corrupt"
+
+    def test_clear_removes_both_kinds(self, tmp_path, characterized,
+                                      profiled):
+        char_signature, device = characterized
+        signature, workload, profile = profiled
+        store = ShardedCharacterizationStore(tmp_path)
+        store.store(get_board("tx2"), char_signature, device)
+        store.store(get_board("tx2"), signature, profile, workload)
+        assert store.clear() == 2
+        assert store.entries() == []
+
+    def test_lru_budget_covers_profiles(self, tmp_path, characterized,
+                                        profiled):
+        char_signature, device = characterized
+        signature, workload, profile = profiled
+        store = ShardedCharacterizationStore(tmp_path, num_shards=1,
+                                             max_bytes=1)
+        store.store(get_board("tx2"), char_signature, device)
+        store.store(get_board("tx2"), signature, profile, workload)
+        # the newest entry survives; the older characterization goes
+        (survivor,) = store.entries()
+        assert "-profile-" in survivor.name
+        index = json.loads((tmp_path / "shard-00" / "_index.json")
+                           .read_text())
+        assert list(index["entries"]) == [survivor.name]
+
+    def test_cache_info_counts_each_kind(self, tmp_path, characterized,
+                                         profiled, capsys):
+        from repro.cli import main
+
+        char_signature, device = characterized
+        signature, workload, profile = profiled
+        store = ShardedCharacterizationStore(tmp_path)
+        store.store(get_board("tx2"), char_signature, device)
+        store.store(get_board("tx2"), signature, profile, workload)
+        assert main(["cache", "info", "--dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert ("2 entry(ies), 0 corrupt — 1 characterization(s), "
+                "1 profile(s)") in out
+        assert main(["cache", "info", "--dir", str(tmp_path),
+                     "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["kinds"] == {"characterization": 1, "profile": 1}
+        assert sorted(e["kind"] for e in payload["entries"]) == \
+            ["characterization", "profile"]
+        assert main(["cache", "clear", "--dir", str(tmp_path)]) == 0
+        assert "removed 2 cached" in capsys.readouterr().out
+
+
 def _stampede_worker(cache_dir, barrier, queue):
     """One process racing the others to characterize the same board."""
     suite = MicrobenchmarkSuite(cache_dir=cache_dir)
@@ -195,7 +347,7 @@ class TestStampedeProtection:
 
 
 class TestGridReuse:
-    def test_grid_cells_hit_the_warm_store(self, tmp_path):
+    def test_grid_cells_hit_the_warm_store(self, tmp_path, monkeypatch):
         from repro.perf.grid import run_grid, warm_store
 
         def counts():
@@ -211,11 +363,20 @@ class TestGridReuse:
         assert warm_store(["tx2"], str(tmp_path)) == 1
         assert warm_store(["tx2"], str(tmp_path)) == 0
 
+        def explode(*_a, **_k):  # pragma: no cover - must not run
+            raise AssertionError("a warm grid must never recharacterize")
+
+        monkeypatch.setattr(MicrobenchmarkSuite, "run_all", explode)
+        # The first pass profiles each cell once, into the store.
+        first = run_grid(["shwfs", "orbslam"], ["tx2"],
+                         cache_dir=str(tmp_path), parallel=False)
         hits_before, misses_before = counts()
         results = run_grid(["shwfs", "orbslam"], ["tx2"],
                            cache_dir=str(tmp_path), parallel=False)
         hits_after, misses_after = counts()
         assert len(results) == 2
+        assert results == first
         assert misses_after == misses_before, \
-            "a warm grid must never recharacterize"
-        assert hits_after - hits_before >= len(results)
+            "a warm grid must never recharacterize or re-profile"
+        # one characterization and one profile hit per cell
+        assert hits_after - hits_before >= 2 * len(results)

@@ -167,3 +167,35 @@ def test_backends_characterize_concurrently_into_one_store(tmp_path):
     assert explanation(concurrent[0]) == explanation(expected)
     analytic_nano = concurrent[1 + CELLS.index(("shwfs", "nano"))]
     assert concurrent[0].device != analytic_nano.device
+
+
+def test_concurrent_profile_misses_agree(tmp_path, warm):
+    """Threads racing on cold profile cells of one framework (memo and
+    store both empty) get the serial answers, and the store ends with
+    one sound profile entry per cell."""
+    from repro.perf.cache import CharacterizationCache
+
+    framework = Framework(cache_dir=str(tmp_path))
+    jobs = [(app, board, model) for app, board in CELLS
+            for model in ("SC", "UM", "ZC")]
+
+    def run(job):
+        app, board, model = job
+        return framework.tune(workload(app, board), get_board(board),
+                              current_model=model)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(run, jobs * 2, timeout=300))
+    finally:
+        sys.setswitchinterval(interval)
+    for (app, board, model), report in zip(jobs * 2, results):
+        assert report == warm.tune(workload(app, board), get_board(board),
+                                   current_model=model)
+    scanned = CharacterizationCache(tmp_path).scan()
+    profiles = [reason for _, status, reason in scanned
+                if status == "ok" and reason.startswith("profile")]
+    assert len(profiles) == len(jobs)
+    assert all(status == "ok" for _, status, _ in scanned)
