@@ -9,11 +9,12 @@ analytically, audit decisions with the simulator).
 
 import time
 
+import numpy as np
+
 from benchmarks.conftest import run_once
 from repro.analysis.tables import Table
 from repro.microbench.suite import MicrobenchmarkSuite
 from repro.sim.backend import SimulatedBackend
-from repro.sim.config import SimConfig
 from repro.soc.board import get_board
 from repro.soc.soc import SoC
 from repro.soc.stream import AccessStream, PatternKind
@@ -54,31 +55,71 @@ def test_characterization_cost_by_backend(benchmark, archive):
     assert t_simulated < 60.0
 
 
-def test_lockstep_engine_speedup(benchmark, archive):
-    """Scalar reference vs lockstep engine on one phase sweep (>= 3x).
+def _captured_segments(monkeypatch, board):
+    """Every trace segment one phase sweep replays through the bit-PLRU
+    caches and the DRAM row buffers, each with the state it met."""
+    from repro.sim import dramsim, engine
 
-    Same access streams either way (results are pinned bit-identical
-    by the ``tests/sim`` property suite); only the engine differs.
+    cache_segments, dram_segments = [], []
+    access_trace, dram_access = engine.access_trace, dramsim.access
+
+    def record_cache(state, addresses, is_write, write_back=True,
+                     write_allocate=True):
+        cache_segments.append((state.clone(), np.array(addresses),
+                               np.array(is_write), write_back,
+                               write_allocate))
+        return access_trace(state, addresses, is_write, write_back,
+                            write_allocate)
+
+    def record_dram(state, addresses):
+        dram_segments.append((state.clone(), np.array(addresses)))
+        return dram_access(state, addresses)
+
+    monkeypatch.setattr(engine, "access_trace", record_cache)
+    monkeypatch.setattr(dramsim, "access", record_dram)
+    soc = SoC(board, backend=SimulatedBackend())
+    for pattern in (PatternKind.LINEAR, PatternKind.SPARSE):
+        stream = AccessStream.virtual_stream(
+            pattern=pattern,
+            per_pass=1 << 16,
+            footprint_bytes=1 << 22,
+            transaction_size=64,
+            repeats=2,
+            write_fraction=0.5,
+        )
+        soc.gpu.hierarchy.process(stream, mode="auto")
+    monkeypatch.undo()
+    return cache_segments, dram_segments
+
+
+def test_lockstep_engine_speedup(benchmark, archive, monkeypatch):
+    """Scalar references vs the engines on one phase sweep (>= 3x).
+
+    The segments a simulated xavier phase sweep replays are recorded
+    once, then replayed through the production engines and through the
+    scalar references of ``tests/sim/reference.py`` (results are pinned
+    bit-identical by the ``tests/sim`` property suite).
     """
-    board = get_board("xavier")
+    from repro.sim import dramsim, engine
+    from tests.sim.reference import access_trace_scalar, dram_access_scalar
 
-    def sweep(vectorized):
-        backend = SimulatedBackend(config=SimConfig(vectorized=vectorized))
-        soc = SoC(board, backend=backend)
-        for pattern in (PatternKind.LINEAR, PatternKind.SPARSE):
-            stream = AccessStream.virtual_stream(
-                pattern=pattern,
-                per_pass=1 << 16,
-                footprint_bytes=1 << 22,
-                transaction_size=64,
-                repeats=2,
-                write_fraction=0.5,
-            )
-            soc.gpu.hierarchy.process(stream, mode="auto")
+    cache_segments, dram_segments = _captured_segments(
+        monkeypatch, get_board("xavier"))
 
-    sweep(True)  # warm the import path before timing
-    t_fast = run_once(benchmark, lambda: _time(lambda: sweep(True)))
-    t_slow = _time(lambda: sweep(False))
+    def replay(cache_access, dram_access):
+        for state, addresses, writes, write_back, write_allocate in \
+                cache_segments:
+            cache_access(state.clone(), addresses, writes, write_back,
+                         write_allocate)
+        for state, addresses in dram_segments:
+            dram_access(state.clone(), addresses)
+
+    def fast():
+        replay(engine.access_trace, dramsim.access)
+
+    fast()  # warm the import path before timing
+    t_fast = run_once(benchmark, lambda: _time(fast))
+    t_slow = _time(lambda: replay(access_trace_scalar, dram_access_scalar))
 
     table = Table(
         "Event-driven engine wall-clock [xavier]",

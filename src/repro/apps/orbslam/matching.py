@@ -4,18 +4,17 @@ The tracking half of the SLAM loop: binary descriptors are matched by
 Hamming distance, and ambiguous matches (best within ``ratio`` of the
 second best) are rejected.
 
-Two equivalent distance kernels exist: the byte-LUT reference (one
-popcount table lookup per XORed byte) and a packed path that views
-each descriptor as ``uint64`` words and popcounts 8 bytes per
-instruction.  Both produce identical integer distances; the packed
-path is skipped under fault injection and for descriptor widths that
-do not fill whole words.
+Two equivalent distance kernels exist: a packed path that views each
+descriptor as ``uint64`` words and popcounts 8 bytes per instruction,
+and the byte-LUT path (one popcount table lookup per XORed byte) for
+descriptor widths that do not fill whole words.  Both produce
+identical integer distances.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -31,13 +30,6 @@ _POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
 #: ``np.bitwise_count`` landed in NumPy 2.0; older installs take the
 #: SWAR reduction below.
 _HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
-
-
-def _injection_active() -> bool:
-    """Whether a fault plan is live (lazy import: no cycle at load)."""
-    from repro.robustness.inject import injection_active
-
-    return injection_active()
 
 
 def _popcount64(words: np.ndarray) -> np.ndarray:
@@ -88,14 +80,12 @@ def packed_hamming_distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _popcount64(xors).sum(axis=2, dtype=np.int32)
 
 
-def hamming_distance_matrix(a: np.ndarray, b: np.ndarray,
-                            vectorized: bool = True) -> np.ndarray:
+def hamming_distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(len(a), len(b)) Hamming distances between packed descriptors.
 
-    With ``vectorized`` enabled, whole-word descriptor widths go
-    through :func:`packed_hamming_distance_matrix`; the byte-LUT path
-    remains the reference fallback (and the only path under fault
-    injection).
+    Whole-word descriptor widths go through
+    :func:`packed_hamming_distance_matrix`, other widths through the
+    byte-LUT kernel.
     """
     a = np.asarray(a, dtype=np.uint8)
     b = np.asarray(b, dtype=np.uint8)
@@ -106,13 +96,13 @@ def hamming_distance_matrix(a: np.ndarray, b: np.ndarray,
         )
     if not len(a) or not len(b):
         return np.zeros((len(a), len(b)), dtype=np.int32)
-    if (
-        vectorized
-        and a.shape[1] % 8 == 0
-        and a.shape[1] > 0
-        and not _injection_active()
-    ):
+    if a.shape[1] % 8 == 0 and a.shape[1] > 0:
         return packed_hamming_distance_matrix(a, b)
+    return _byte_hamming_distance_matrix(a, b)
+
+
+def _byte_hamming_distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Hamming distances by one popcount table lookup per XORed byte."""
     xors = np.bitwise_xor(a[:, None, :], b[None, :, :])
     return _POPCOUNT[xors].sum(axis=2).astype(np.int32)
 
@@ -126,91 +116,42 @@ class Match:
     distance: int
 
 
-def _select_matches_scalar(
-    distances: np.ndarray,
-    best: np.ndarray,
-    best_d: np.ndarray,
-    reverse_best: Optional[np.ndarray],
-    max_distance: int,
-    ratio: float,
-    cross_check: bool,
-) -> List[Match]:
-    """Reference per-query acceptance loop."""
-    matches: List[Match] = []
-    for qi in range(distances.shape[0]):
-        ti = int(best[qi])
-        d = int(best_d[qi])
-        if d > max_distance:
-            continue
-        if distances.shape[1] > 1:
-            row = distances[qi].copy()
-            row[ti] = np.iinfo(np.int32).max
-            second = int(row.min())
-            if second > 0 and d >= ratio * second:
-                continue
-        if cross_check and int(reverse_best[ti]) != qi:
-            continue
-        matches.append(Match(query_index=qi, train_index=ti, distance=d))
-    return matches
-
-
-def _select_matches_vectorized(
-    distances: np.ndarray,
-    best: np.ndarray,
-    best_d: np.ndarray,
-    reverse_best: Optional[np.ndarray],
-    max_distance: int,
-    ratio: float,
-    cross_check: bool,
-) -> List[Match]:
-    """Batched acceptance: one boolean mask instead of a query loop.
-
-    The second-best distance is the second order statistic of each row
-    — removing one instance of the minimum (what the scalar loop's
-    masking does) leaves exactly that value, duplicates included.
-    """
-    accept = best_d <= max_distance
-    if distances.shape[1] > 1:
-        second = np.partition(distances, 1, axis=1)[:, 1]
-        accept &= ~((second > 0) & (best_d >= ratio * second))
-    if cross_check:
-        accept &= reverse_best[best] == np.arange(distances.shape[0])
-    return [
-        Match(query_index=int(qi), train_index=int(best[qi]),
-              distance=int(best_d[qi]))
-        for qi in np.flatnonzero(accept)
-    ]
-
-
 def match_descriptors(
     query: np.ndarray,
     train: np.ndarray,
     max_distance: int = 64,
     ratio: float = 0.8,
     cross_check: bool = True,
-    vectorized: bool = True,
 ) -> List[Match]:
     """Match ``query`` descriptors against ``train``.
+
+    Acceptance is one boolean mask over all queries.  The second-best
+    distance is the second order statistic of each row: removing one
+    instance of the minimum leaves exactly that value, duplicates
+    included.
 
     Args:
         query / train: (N, 32) packed binary descriptors.
         max_distance: reject matches beyond this Hamming distance.
         ratio: Lowe's ratio threshold (best < ratio * second-best).
         cross_check: also require the match to be mutual.
-        vectorized: use the packed distance kernel and the batched
-            acceptance mask; the per-query loop remains the reference
-            fallback (and the only path under fault injection).
     """
     if not 0.0 < ratio <= 1.0:
         raise MatchingError(f"ratio must be in (0, 1], got {ratio}")
-    use_batch = vectorized and not _injection_active()
-    distances = hamming_distance_matrix(query, train, vectorized=use_batch)
+    distances = hamming_distance_matrix(query, train)
     if distances.size == 0:
         return []
     best = distances.argmin(axis=1)
     best_d = distances[np.arange(len(query)), best]
-    reverse_best = distances.argmin(axis=0) if cross_check else None
-    select = _select_matches_vectorized if use_batch else _select_matches_scalar
-    return select(
-        distances, best, best_d, reverse_best, max_distance, ratio, cross_check
-    )
+    accept = best_d <= max_distance
+    if distances.shape[1] > 1:
+        second = np.partition(distances, 1, axis=1)[:, 1]
+        accept &= ~((second > 0) & (best_d >= ratio * second))
+    if cross_check:
+        reverse_best = distances.argmin(axis=0)
+        accept &= reverse_best[best] == np.arange(distances.shape[0])
+    return [
+        Match(query_index=int(qi), train_index=int(best[qi]),
+              distance=int(best_d[qi]))
+        for qi in np.flatnonzero(accept)
+    ]

@@ -81,13 +81,6 @@ class CentroidResult:
     method: CentroidMethod
 
 
-def _injection_active() -> bool:
-    """Whether a fault plan is live (lazy import: no cycle at load)."""
-    from repro.robustness.inject import injection_active
-
-    return injection_active()
-
-
 def _cog(window: np.ndarray) -> Tuple[float, float]:
     """Center of gravity of one window; the window center on an empty
     window (the reference position is the unbiased fallback)."""
@@ -151,8 +144,6 @@ def _extract_centroids_batched(
     ~0, where a different summation order could flip the empty-window
     fallback.
     """
-    if _injection_active():
-        return None
     if frame.size and float(frame.min()) < 0.0:
         return None
     size = grid.size_px
@@ -192,6 +183,39 @@ def _extract_centroids_batched(
     return centroids, totals.reshape(-1)
 
 
+def _extract_centroids_scalar(
+    frame: np.ndarray,
+    grid: SubapertureGrid,
+    method: CentroidMethod,
+    threshold_fraction: float,
+    window_radius: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """One subaperture at a time: the reference the batch matches."""
+    size = grid.size_px
+    centroids = np.zeros((grid.count, 2))
+    intensities = np.zeros(grid.count)
+    for row in range(grid.rows):
+        for col in range(grid.cols):
+            window = frame[
+                row * size : (row + 1) * size, col * size : (col + 1) * size
+            ]
+            if method is not CentroidMethod.COG:
+                peak = window.max()
+                cleaned = np.where(
+                    window >= threshold_fraction * peak, window, 0.0
+                )
+            else:
+                cleaned = window
+            if method is CentroidMethod.WINDOWED_COG:
+                cx, cy = _windowed_cog(cleaned, window_radius)
+            else:
+                cx, cy = _cog(cleaned)
+            index = row * grid.cols + col
+            centroids[index] = (cx + col * size, cy + row * size)
+            intensities[index] = cleaned.sum()
+    return centroids, intensities
+
+
 def extract_centroids(
     image: np.ndarray,
     grid: SubapertureGrid,
@@ -199,7 +223,6 @@ def extract_centroids(
     threshold_fraction: float = 0.15,
     window_radius: int = 4,
     reference: Optional[np.ndarray] = None,
-    vectorized: bool = True,
 ) -> CentroidResult:
     """Extract one centroid per subaperture.
 
@@ -212,10 +235,10 @@ def extract_centroids(
         window_radius: refinement radius of the windowed variant.
         reference: (count, 2) reference centers; defaults to window
             centers.
-        vectorized: evaluate every subaperture in one batched
-            reduction (within 1e-12 of the scalar loop, which remains
-            the reference fallback and the only path under fault
-            injection).
+
+    Every subaperture is evaluated in one batched reduction (within
+    1e-12 of the per-window loop, which answers frames with negative
+    intensities).
     """
     grid.validate(image)
     if not 0.0 <= threshold_fraction < 1.0:
@@ -224,35 +247,11 @@ def extract_centroids(
         )
     size = grid.size_px
     frame = np.asarray(image, dtype=np.float64)
-    batched = None
-    if vectorized:
-        batched = _extract_centroids_batched(
-            frame, grid, method, threshold_fraction, window_radius
-        )
-    if batched is not None:
-        centroids, intensities = batched
-    else:
-        centroids = np.zeros((grid.count, 2))
-        intensities = np.zeros(grid.count)
-        for row in range(grid.rows):
-            for col in range(grid.cols):
-                window = frame[
-                    row * size : (row + 1) * size, col * size : (col + 1) * size
-                ]
-                if method is not CentroidMethod.COG:
-                    peak = window.max()
-                    cleaned = np.where(
-                        window >= threshold_fraction * peak, window, 0.0
-                    )
-                else:
-                    cleaned = window
-                if method is CentroidMethod.WINDOWED_COG:
-                    cx, cy = _windowed_cog(cleaned, window_radius)
-                else:
-                    cx, cy = _cog(cleaned)
-                index = row * grid.cols + col
-                centroids[index] = (cx + col * size, cy + row * size)
-                intensities[index] = cleaned.sum()
+    args = (frame, grid, method, threshold_fraction, window_radius)
+    batched = _extract_centroids_batched(*args)
+    centroids, intensities = (
+        batched if batched is not None else _extract_centroids_scalar(*args)
+    )
     if reference is None:
         half = size / 2.0 - 0.5
         reference = np.array(

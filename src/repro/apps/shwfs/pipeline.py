@@ -134,20 +134,13 @@ class ShwfsPipeline:
         :meth:`~repro.perf.parallel.ParallelRunner.map_shared`, so the
         workers map a single shared-memory copy of the stack instead of
         unpickling one frame per task.  Results keep input order and
-        equal a serial :meth:`process_frame` loop exactly.  While a
-        fault injector is active the loop runs serially in-process
-        (worker processes would escape the injector's patches).
+        equal a serial :meth:`process_frame` loop exactly.
         """
         from repro.perf.parallel import ParallelRunner
-        from repro.robustness.inject import injection_active
 
         frames = [np.asarray(f, dtype=np.float64) for f in frames]
         if not frames:
             return []
-        if injection_active():
-            return [
-                self.process_frame(f, reconstruct=reconstruct) for f in frames
-            ]
         if runner is None:
             runner = ParallelRunner()
         worker = functools.partial(_process_shared_frame, self, reconstruct)

@@ -583,7 +583,6 @@ def _render_stream(result, board, config) -> str:
     table.add_row("windows", result.windows)
     table.add_row("decisions", result.decisions)
     table.add_row("drift windows", result.drift_windows)
-    table.add_row("window mode", result.window_mode or "-")
     table.add_row("decisions/sec", round(result.decisions_per_sec, 1))
     table.add_row("model", f"{result.initial_model} -> "
                            f"{result.final_model}")

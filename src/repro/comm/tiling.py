@@ -169,13 +169,8 @@ def check_race_free(cpu_stream: AccessStream, gpu_stream: AccessStream,
 class TiledZeroCopyPattern:
     """Executable form of the Fig-4 pattern: geometry + overlap timing."""
 
-    def __init__(self, plan: TilingPlan, vectorized: bool = True) -> None:
+    def __init__(self, plan: TilingPlan) -> None:
         self.plan = plan
-        #: Evaluate :meth:`overlapped_execution` by simulating one
-        #: representative phase (every phase runs the same scaled jobs);
-        #: the per-phase loop remains the reference fallback and the
-        #: only path under fault injection.
-        self.vectorized = vectorized
 
     def overlapped_execution(
         self,
@@ -195,36 +190,21 @@ class TiledZeroCopyPattern:
             _scaled_job(cpu_job, 1.0 / phases, efficiency),
             _scaled_job(gpu_job, 1.0 / phases, efficiency),
         ]
-        if self.vectorized and not _injection_active():
-            # All phases run identical job sets through a stateless
-            # arbiter: simulate one and replay it.  The total is still
-            # accumulated term by term so it matches the scalar loop's
-            # floating-point rounding exactly.
-            result = run_overlapped(jobs, interconnect)
-            phase_results = [result] * phases
-            total = 0.0
-            for _ in range(phases):
-                total += result.makespan_s + self.plan.barrier_overhead_s
-        else:
-            phase_results = []
-            total = 0.0
-            for _ in range(phases):
-                result = run_overlapped(list(jobs), interconnect)
-                phase_results.append(result)
-                total += result.makespan_s + self.plan.barrier_overhead_s
+        # All phases run identical job sets through a stateless arbiter:
+        # simulate one and replay it.  The total is still accumulated
+        # term by term, matching a per-phase loop's floating-point
+        # rounding exactly.
+        result = run_overlapped(jobs, interconnect)
+        phase_results = [result] * phases
+        total = 0.0
+        for _ in range(phases):
+            total += result.makespan_s + self.plan.barrier_overhead_s
         return TiledExecution(
             plan=self.plan,
             phase_results=phase_results,
             total_time_s=total,
             sync_overhead_s=phases * self.plan.barrier_overhead_s,
         )
-
-
-def _injection_active() -> bool:
-    """Whether a fault plan is live (lazy import: no cycle at load)."""
-    from repro.robustness.inject import injection_active
-
-    return injection_active()
 
 
 def _scaled_job(job: OverlapJob, factor: float,

@@ -165,20 +165,15 @@ class SecondMicroBenchmark(MicroBenchmark):
 
     def _sweep_vectorized(self, soc: SoC):
         """Both sweeps through the batch engine, or ``(None, None)``
-        when it cannot serve this SoC: a non-analytic backend or an
-        unsupported geometry (both raise :class:`BatchUnsupported`), or
-        an active fault injector.
+        when it cannot serve this SoC (it raises
+        :class:`BatchUnsupported` for a non-analytic backend, an
+        unsupported geometry or an active fault injector).
 
         Imported lazily: :mod:`repro.perf` sits above the soc layer and
         below the microbenchmarks only at call time.
         """
         from repro.perf.batch import BatchUnsupported, vectorized_second_sweep
-        from repro.robustness.inject import injection_active
 
-        if injection_active():
-            # Fault plans patch the scalar simulation seams; the batch
-            # engine would compute around them.
-            return None, None
         try:
             return vectorized_second_sweep(self, soc)
         except BatchUnsupported:

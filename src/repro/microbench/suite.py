@@ -118,7 +118,7 @@ class MicrobenchmarkSuite:
             with obs.span("microbench.mb3", board=board.name):
                 third = self.third.run(soc)
         results = SuiteResults(first=first, second=second, third=third)
-        self._raw[board] = results
+        self._raw[_scoped(board)[0]] = results
         return results
 
     def cache_signature(self) -> Dict[str, Any]:
@@ -151,14 +151,8 @@ class MicrobenchmarkSuite:
                          signature: Optional[Dict[str, Any]] = None,
                          workload=None):
         """The stored characterization (or, with ``workload``, profile
-        under ``signature``); None without a store or under injection."""
+        under ``signature``); None without a store."""
         if self.cache is None:
-            return None
-        from repro.robustness.inject import injection_active
-
-        if injection_active():
-            # A cached result was computed outside the fault plan's
-            # reach; using it would mask the injected faults.
             return None
         if signature is None:
             signature = self.cache_signature()
@@ -169,32 +163,42 @@ class MicrobenchmarkSuite:
                           workload=None) -> None:
         if self.cache is None:
             return
-        from repro.robustness.inject import injection_active
-
-        if injection_active():
-            # Never persist a perturbed result.
-            return
         if signature is None:
             signature = self.cache_signature()
         self.cache.store(board, signature, value, workload)
 
     def _through_caches(self, counter: str, memo: Dict[Any, Any], memo_key,
-                        load: Callable[[], Any], compute: Callable[[], Any]
+                        load: Callable[[], Any],
+                        compute: Callable[[bool], Any],
+                        memoize_in_scope: bool = True, force: bool = False
                         ) -> Tuple[Any, str]:
         """memory → store → compute: the one cache path of both entry
-        kinds.  Returns the value and where it came from (``"memo"``,
-        ``"store"`` or ``"computed"``); ``compute`` persists what it
-        computes, and every answer is memoized."""
-        hit = memo.get(memo_key)
+        kinds, and the one place fault injection changes it.
+
+        Returns the value and where it came from (``"memo"``,
+        ``"store"`` or ``"computed"``).  ``compute(persist)`` computes
+        a miss and persists it when asked; every answer is memoized.
+        ``force`` skips both lookups.
+
+        A cached answer would skip the injector's seams, so nothing
+        crosses an injection scope's boundary: inside one the store is
+        neither read nor written, the memo key is paired with the
+        active injector (:func:`_scoped`), and with
+        ``memoize_in_scope=False`` nothing is memoized at all.
+        """
+        memo_key, clean = _scoped(memo_key)
+        if not (clean or memoize_in_scope):
+            return compute(False), "computed"
+        hit = None if force else memo.get(memo_key)
         if hit is not None:
             obs.counter_inc(f"{counter}.memory_hit")
             return hit, "memo"
-        persisted = load()
+        persisted = load() if clean and not force else None
         if persisted is not None:
             obs.counter_inc(f"{counter}.store_hit")
             memo[memo_key] = persisted
             return persisted, "store"
-        value = compute()
+        value = compute(clean)
         memo[memo_key] = value
         return value, "computed"
 
@@ -206,8 +210,10 @@ class MicrobenchmarkSuite:
         With a persistent cache attached, a content-hash hit (same
         board, same micro-benchmark parameters, same package version)
         skips the suite entirely; ``force=True`` recomputes and
-        refreshes both caches.  Fault injection bypasses the persistent
-        cache in both directions.  Concurrent *misses* for one key are
+        refreshes both caches.  Under fault injection the persistent
+        cache is bypassed in both directions and the memo holds one
+        answer per injection scope (:meth:`_through_caches`).
+        Concurrent *misses* for one key are
         collapsed by a keyed single-flight (lock-file based across
         processes), so a stampede of cold callers characterizes once.
 
@@ -222,14 +228,16 @@ class MicrobenchmarkSuite:
         annotated with the attempt count.
         """
         policy = retry_policy or RetryPolicy(max_attempts=1)
-        if force:
-            device = self._characterize_deduped(board, policy, force)
-            self._cache[board] = device
-            return device
+
+        def compute(persist: bool) -> DeviceCharacterization:
+            if not persist:
+                return self._characterize_with_retries(board, policy)
+            return self._characterize_deduped(board, policy, force)
+
         device, _ = self._through_caches(
             "microbench.characterize", self._cache, board,
             load=lambda: self._persistent_load(board),
-            compute=lambda: self._characterize_deduped(board, policy, force))
+            compute=compute, force=force)
         return device
 
     def profile(self, workload, board: BoardConfig,
@@ -247,44 +255,40 @@ class MicrobenchmarkSuite:
         may both simulate; their results are equal.
         """
         from repro.perf.cache import cache_key
-        from repro.robustness.inject import injection_active
 
-        def simulate() -> AppProfile:
-            soc = SoC(board, backend=self.backend)
-            return Profiler(soc).profile(workload, model=model)
-
-        if injection_active():
-            return simulate(), "computed"
         signature = self.profile_signature(model)
 
-        def simulate_and_persist() -> AppProfile:
-            value = simulate()
-            self._persistent_store(board, value, signature, workload)
+        def simulate(persist: bool) -> AppProfile:
+            soc = SoC(board, backend=self.backend)
+            value = Profiler(soc).profile(workload, model=model)
+            if persist:
+                self._persistent_store(board, value, signature, workload)
             return value
 
         return self._through_caches(
             "profiling.profile", self._profiles,
             cache_key(board, signature, workload),
             load=lambda: self._persistent_load(board, signature, workload),
-            compute=simulate_and_persist)
+            compute=simulate, memoize_in_scope=False)
 
     def memoized(self, board: BoardConfig
                  ) -> Optional[DeviceCharacterization]:
-        """The in-memory characterization of ``board``, or ``None``.
+        """The in-memory characterization of ``board`` (in the current
+        injection scope, if any), or ``None``.
 
         Never runs the suite or reads the persistent store.
         """
-        return self._cache.get(board)
+        return self._cache.get(_scoped(board)[0])
 
     def _characterize_deduped(
         self, board: BoardConfig, policy: RetryPolicy, force: bool
     ) -> DeviceCharacterization:
-        """Single-flight wrapper around the retried suite run.
+        """Single-flight wrapper around the retried suite run (clean
+        runs only: see :meth:`_through_caches`).
 
         Active only when a persistent cache is attached (the lock file
-        lives next to the cache entries), injection is off (a follower
-        must not reuse another process's unperturbed result) and the
-        call is not ``force`` (which must recompute by definition).
+        lives next to the cache entries) and the call is not ``force``
+        (which must recompute by definition).
 
         The computed value is persisted *inside* the flight — before
         the leader's lock is released — so a cross-process follower
@@ -293,9 +297,7 @@ class MicrobenchmarkSuite:
         the stampede: lock gone, store still empty, follower
         recomputes.)
         """
-        from repro.robustness.inject import injection_active
-
-        if self.cache is None or force or injection_active():
+        if self.cache is None or force:
             value = self._characterize_with_retries(board, policy)
             self._persistent_store(board, value)
             return value
@@ -411,8 +413,9 @@ class MicrobenchmarkSuite:
 
     def raw_results(self, board: BoardConfig) -> Optional[SuiteResults]:
         """Raw micro-benchmark results of the last run on ``board``,
-        keyed like the memo: by the frozen board value, not its name."""
-        return self._raw.get(board)
+        keyed like the memo: by the frozen board value, not its name,
+        and by the injection scope."""
+        return self._raw.get(_scoped(board)[0])
 
     def probe_points(self, board: BoardConfig,
                      fractions: Sequence[float]) -> List["SweepPoint"]:
@@ -426,7 +429,6 @@ class MicrobenchmarkSuite:
         same values the full sweep would have produced at them.
         """
         from repro.perf.batch import BatchUnsupported, mb2_gpu_points
-        from repro.robustness.inject import injection_active
 
         bench = SecondMicroBenchmark(
             fractions=tuple(fractions),
@@ -436,17 +438,24 @@ class MicrobenchmarkSuite:
         soc = SoC(board, backend=self.backend)
         with obs.span("microbench.probe", board=board.name,
                       points=len(bench.fractions)):
-            points = None
-            if not injection_active():
-                try:
-                    points = mb2_gpu_points(soc, bench.fractions,
-                                            bench.array_bytes,
-                                            bench.sweep_repeats)
-                except BatchUnsupported:
-                    points = None
-            if points is None:
+            try:
+                points = mb2_gpu_points(soc, bench.fractions,
+                                        bench.array_bytes,
+                                        bench.sweep_repeats)
+            except BatchUnsupported:
                 points = bench._sweep_gpu(soc)
         return list(points)
+
+
+def _scoped(key) -> Tuple[Any, bool]:
+    """``(memo key, clean)`` for ``key``: the key itself outside fault
+    injection; inside a scope, the key paired with the active injector,
+    so an answer computed in the scope answers only there and no clean
+    entry answers in it."""
+    from repro.robustness.inject import injection_active
+
+    injector = injection_active()
+    return ((key, injector), False) if injector else (key, True)
 
 
 def _characterize_worker(job) -> DeviceCharacterization:

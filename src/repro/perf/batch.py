@@ -56,11 +56,17 @@ def _require_analytic(soc: SoC) -> None:
     """Batch sweeps evaluate the closed form directly, so they are
     analytic-only fast paths: under any other timing backend they
     declare themselves unavailable and the caller falls back to the
-    scalar (per-point) path, which honours the backend."""
+    scalar (per-point) path, which honours the backend.  They also
+    compute around the copy and flush seams a fault injector patches,
+    so they refuse while one is active."""
+    from repro.robustness.inject import injection_active
+
     _require(
         soc.backend.is_analytic,
         f"batch sweeps are analytic-only (backend is {soc.backend.name!r})",
     )
+    _require(not injection_active(),
+             "batch sweeps bypass the fault injector's copy and flush seams")
 
 
 def coalesced_rw_pair_transactions(

@@ -41,13 +41,6 @@ TRACE_ROW_DTYPE = np.dtype([("offset", np.int64), ("write", np.bool_)])
 _WRITE_FLAGS = ("w", "1", "true", "write", "st")
 
 
-def _injection_active() -> bool:
-    """Whether a fault plan is live (lazy import: no cycle at load)."""
-    from repro.robustness.inject import injection_active
-
-    return injection_active()
-
-
 #: Powers of ten for the vectorized digit contraction (int64-safe).
 _POW10 = 10 ** np.arange(19, dtype=np.int64)
 
@@ -358,10 +351,9 @@ class RecordedTrace:
     @classmethod
     def _parse_block(cls, text: str) -> np.ndarray:
         """Rows of one block: the NumPy path for unquoted text, the
-        scalar reference parser for what it rejects or under an active
-        fault injector."""
+        scalar reference parser for what it rejects."""
         rows: Optional[np.ndarray] = None
-        if '"' not in text and not _injection_active():
+        if '"' not in text:
             rows = cls._parse_csv_vectorized(text)
         if rows is None:
             rows = cls._parse_csv_scalar(io.StringIO(text, newline=""))

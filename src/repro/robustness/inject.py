@@ -1,6 +1,7 @@
 """Fault-injection harness: apply a :class:`FaultPlan` to live runs.
 
-The injector patches three seams for the duration of a ``with`` block:
+The injector patches these methods, and no others, for the duration
+of a ``with`` block (``tests/robustness/test_seams.py`` pins the list):
 
 - :meth:`SoC._copy_time` — copy-engine stalls (``COPY_STALL``), placed
   *below* the invariant guards so a stalled transfer is observable by
@@ -36,7 +37,7 @@ import dataclasses
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List
+from typing import Dict, Iterator, List, Optional
 
 from repro import obs
 from repro.errors import ProfilingError, SimulationError
@@ -55,15 +56,17 @@ from repro.soc.soc import SoC
 _ACTIVE: List["FaultInjector"] = []
 
 
-def injection_active() -> bool:
-    """Whether a fault injector is currently patched in.
+def injection_active() -> Optional["FaultInjector"]:
+    """The fault injector currently patched in, or ``None``.
 
-    Fast paths that skip simulation seams (the vectorized sweeps, the
-    persistent characterization cache) must consult this and fall back
-    to the full scalar path, or an injected fault could be masked by a
-    result computed — or cached — outside its reach.
+    Only code that computes *around* a patched seam consults this: the
+    suite's caches (a cached or memoized answer skips the seams), the
+    MB2 batch engine (closed forms skip the copy and flush seams),
+    process pools (workers escape the patches) and the surrogate (it
+    skips ``run_all``).  Everything else reaches the seams, or none of
+    them, the same way with or without an injector.
     """
-    return bool(_ACTIVE)
+    return _ACTIVE[0] if _ACTIVE else None
 
 
 @dataclass(frozen=True)

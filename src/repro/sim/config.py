@@ -40,9 +40,6 @@ class SimConfig:
             (random) traffic.
         contention_quantum_bytes: arbitration granularity of the
             shared-interconnect contention queue.
-        vectorized: use the NumPy lockstep engine; the scalar reference
-            is forced by ``vectorized=False`` or an active fault
-            injection, and both are pinned bit-identical by tests.
         seed: seed for synthesized sparse access streams.
     """
 
@@ -55,7 +52,6 @@ class SimConfig:
     row_hit_efficiency: float = 0.82
     row_miss_efficiency: float = 0.48
     contention_quantum_bytes: int = 4096
-    vectorized: bool = True
     seed: int = 0
 
     def __post_init__(self) -> None:

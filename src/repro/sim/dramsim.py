@@ -6,8 +6,7 @@ activate + CAS).  The simulator tracks the open row per bank across an
 access trace and reports:
 
 - exact integer hit/miss and command-cycle counts (pinned bit-identical
-  between the scalar reference and the vectorized path by property
-  tests), and
+  to a temporal-order scalar replay by property tests), and
 - a *mix efficiency* — the sustained fraction of peak pin bandwidth for
   the observed hit/miss blend — which the hierarchy turns into wall
   time.  Row-hit-heavy streaming sustains
@@ -17,9 +16,9 @@ access trace and reports:
   brackets the analytic model's flat ``DRAMConfig.efficiency`` and is
   deliberately board-independent so calibration stays stable.
 
-The vectorized path exploits bank independence the same way the cache
-engine exploits set independence: a stable argsort by bank makes every
-row transition a pairwise comparison.
+The replay exploits bank independence the same way the cache engine
+exploits set independence: a stable argsort by bank makes every row
+transition a pairwise comparison.
 """
 
 from __future__ import annotations
@@ -29,14 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.sim.config import SimConfig
-
-
-def _injection_active() -> bool:
-    # Imported lazily to avoid a cycle (inject patches SoC seams and so
-    # imports repro.soc, which imports this module via the hierarchy).
-    from repro.robustness.inject import injection_active
-
-    return injection_active()
 
 
 class DRAMSimState:
@@ -91,9 +82,7 @@ class DRAMAccessResult:
         )
 
 
-def access(
-    state: DRAMSimState, addresses: np.ndarray, vectorized: bool = True
-) -> DRAMAccessResult:
+def access(state: DRAMSimState, addresses: np.ndarray) -> DRAMAccessResult:
     """Replay ``addresses`` (byte addresses) through the row buffers."""
     n = len(addresses)
     if n == 0:
@@ -103,32 +92,12 @@ def access(
     rows_global = np.asarray(addresses, dtype=np.int64) >> state.row_shift
     banks = rows_global & state.bank_mask
     rows = rows_global >> state.bank_bits
-    if vectorized and not _injection_active():
-        hit_mask = _access_vectorized(state, banks, rows)
-    else:
-        hit_mask = _access_scalar(state, banks, rows)
+    hit_mask = _access_by_bank(state, banks, rows)
     hits = int(np.count_nonzero(hit_mask))
     return DRAMAccessResult(row_hits=hits, row_misses=n - hits, hit_mask=hit_mask)
 
 
-def _access_scalar(
-    state: DRAMSimState, banks: np.ndarray, rows: np.ndarray
-) -> np.ndarray:
-    """Temporal-order reference."""
-    n = len(banks)
-    hit_mask = np.zeros(n, dtype=bool)
-    open_rows = state.open_rows
-    bank_list = banks.tolist()
-    row_list = rows.tolist()
-    for i in range(n):
-        bank = bank_list[i]
-        row = row_list[i]
-        hit_mask[i] = open_rows[bank] == row
-        open_rows[bank] = row
-    return hit_mask
-
-
-def _access_vectorized(
+def _access_by_bank(
     state: DRAMSimState, banks: np.ndarray, rows: np.ndarray
 ) -> np.ndarray:
     """Banks are independent: group by bank (stable, so per-bank

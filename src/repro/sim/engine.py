@@ -13,20 +13,21 @@ tree PLRU would not fit):
 - the victim is the first invalid way, else the lowest way with a clear
   MRU bit.
 
-Two implementations share the same :class:`CacheSimState`:
+Two cores share the same :class:`CacheSimState`:
 
-- :func:`_core_scalar` — the reference, a plain temporal-order loop;
-- a NumPy *lockstep-over-sets* fast path — accesses are stably grouped
+- :func:`_core_scalar` — a plain temporal-order loop, which answers
+  short or set-skewed segments;
+- a NumPy *lockstep-over-sets* core — accesses are stably grouped
   by set and round ``r`` retires the ``r``-th access of every active
   set at once (sets are independent, so per-set temporal order is all
   that matters).
 
-The fast path first collapses runs of consecutive same-line accesses
-(guaranteed hits on a write-allocate cache) so element-granularity CPU
-sweeps cost line-granularity work.  Both paths are pinned bit-identical
-(hit masks, miss order, writebacks, final state) by property tests in
-``tests/sim``; ``vectorized=False`` or an active fault injection forces
-the scalar reference, like every other vectorized seam in the repo.
+:func:`access_trace` first collapses runs of consecutive same-line
+accesses (guaranteed hits on a write-allocate cache) so
+element-granularity CPU sweeps cost line-granularity work, then picks
+the core.  Property tests in ``tests/sim`` pin the result bit-identical
+(hit masks, miss order, writebacks, final state) to a scalar replay of
+the raw trace.
 """
 
 from __future__ import annotations
@@ -39,13 +40,6 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.units import is_power_of_two
 
-
-def _injection_active() -> bool:
-    # Imported lazily: repro.robustness.inject patches SoC seams and so
-    # imports repro.soc, which imports this module via the hierarchy.
-    from repro.robustness.inject import injection_active
-
-    return injection_active()
 
 #: Below this many (collapsed) accesses per segment, or when one set
 #: receives more than 1/8 of them, lockstep rounds degenerate and the
@@ -154,13 +148,12 @@ def access_trace(
     is_write: np.ndarray,
     write_back: bool = True,
     write_allocate: bool = True,
-    vectorized: bool = True,
 ) -> SimAccessResult:
     """Replay a trace segment through the bit-PLRU cache.
 
-    ``vectorized=False`` (or an active fault injection) runs the scalar
-    reference on the raw trace; otherwise the run-collapsed lockstep
-    fast path runs, producing bit-identical results.
+    Runs of same-line accesses collapse to one access, then the
+    lockstep core (or, for short or set-skewed segments, the scalar
+    core) replays what is left.
     """
     n = len(addresses)
     if n == 0:
@@ -171,21 +164,43 @@ def access_trace(
         )
     lines = np.asarray(addresses, dtype=np.int64) >> state.line_shift
     writes = np.ascontiguousarray(is_write, dtype=bool)
-    if vectorized and not _injection_active():
-        return _access_fast(state, lines, writes, write_back, write_allocate)
-    hits, miss_lines, writebacks = _core_scalar(
-        state, lines, writes, write_back, write_allocate
-    )
+    core_lines = lines
+    core_writes = writes
+    keep_idx = None
+    if write_back and write_allocate and n > 1:
+        # Consecutive same-line accesses after the first are guaranteed
+        # hits on a write-allocate cache (the first access leaves the
+        # line resident): collapse each run to one access whose write
+        # flag is the OR of the run (dirty state is preserved).
+        keep = np.empty(n, dtype=bool)
+        keep[0] = True
+        np.not_equal(lines[1:], lines[:-1], out=keep[1:])
+        idx = np.flatnonzero(keep)
+        if len(idx) < n:
+            keep_idx = idx
+            core_lines = lines[idx]
+            core_writes = np.logical_or.reduceat(writes, idx)
+
+    m = len(core_lines)
+    if m < _LOCKSTEP_MIN_ACCESSES:
+        core_hits, miss_lines, writebacks = _core_scalar(
+            state, core_lines, core_writes, write_back, write_allocate
+        )
+    else:
+        core_hits, miss_lines, writebacks = _core_lockstep(
+            state, core_lines, core_writes, write_back, write_allocate
+        )
+
+    if keep_idx is None:
+        hits = core_hits
+    else:
+        hits = np.ones(n, dtype=bool)
+        hits[keep_idx] = core_hits
     return SimAccessResult(
         hits=hits,
         miss_line_addresses=miss_lines << state.line_shift,
         writeback_lines=writebacks,
     )
-
-
-# ----------------------------------------------------------------------
-# scalar reference
-# ----------------------------------------------------------------------
 
 
 def _core_scalar(
@@ -195,7 +210,7 @@ def _core_scalar(
     write_back: bool,
     write_allocate: bool,
 ) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Temporal-order replay; the semantics other paths must match."""
+    """Temporal-order replay; the semantics the lockstep core matches."""
     n = len(lines)
     hits = np.zeros(n, dtype=bool)
     misses: List[int] = []
@@ -250,59 +265,6 @@ def _core_scalar(
         np.array(misses, dtype=np.int64) if misses else np.empty(0, dtype=np.int64)
     )
     return hits, miss_lines, writebacks
-
-
-# ----------------------------------------------------------------------
-# vectorized fast path
-# ----------------------------------------------------------------------
-
-
-def _access_fast(
-    state: CacheSimState,
-    lines: np.ndarray,
-    writes: np.ndarray,
-    write_back: bool,
-    write_allocate: bool,
-) -> SimAccessResult:
-    """Run-collapse + lockstep-over-sets replay (bit-identical)."""
-    n = len(lines)
-    core_lines = lines
-    core_writes = writes
-    keep_idx = None
-    if write_back and write_allocate and n > 1:
-        # Consecutive same-line accesses after the first are guaranteed
-        # hits on a write-allocate cache (the first access leaves the
-        # line resident): collapse each run to one access whose write
-        # flag is the OR of the run (dirty state is preserved).
-        keep = np.empty(n, dtype=bool)
-        keep[0] = True
-        np.not_equal(lines[1:], lines[:-1], out=keep[1:])
-        idx = np.flatnonzero(keep)
-        if len(idx) < n:
-            keep_idx = idx
-            core_lines = lines[idx]
-            core_writes = np.logical_or.reduceat(writes, idx)
-
-    m = len(core_lines)
-    if m < _LOCKSTEP_MIN_ACCESSES:
-        core_hits, miss_lines, writebacks = _core_scalar(
-            state, core_lines, core_writes, write_back, write_allocate
-        )
-    else:
-        core_hits, miss_lines, writebacks = _core_lockstep(
-            state, core_lines, core_writes, write_back, write_allocate
-        )
-
-    if keep_idx is None:
-        hits = core_hits
-    else:
-        hits = np.ones(n, dtype=bool)
-        hits[keep_idx] = core_hits
-    return SimAccessResult(
-        hits=hits,
-        miss_line_addresses=miss_lines << state.line_shift,
-        writeback_lines=writebacks,
-    )
 
 
 def _core_lockstep(

@@ -553,7 +553,6 @@ class CacheHierarchy:
                     current_writes,
                     write_back=cache.config.write_back,
                     write_allocate=cache.config.write_allocate,
-                    vectorized=config.vectorized,
                 )
                 hits = result.num_hits
                 misses = result.num_misses
@@ -618,9 +617,7 @@ class CacheHierarchy:
         dram_bytes = dram_read + dram_write
         if dram_transactions > 0:
             dram_result = sim_dram.access(
-                self._sim_dram_state(config),
-                current_addrs,
-                vectorized=config.vectorized,
+                self._sim_dram_state(config), current_addrs
             )
             obs.counter_inc("sim.dram.row_hits", dram_result.row_hits)
             obs.counter_inc("sim.dram.row_misses", dram_result.row_misses)

@@ -15,10 +15,8 @@ emission, so a flip without drift (or drift without a flip) is visible
 in the stream report.
 
 The whole update is vectorized over each block of emissions (one
-prefix-sum over the extended metric history); under
-:func:`injection_active` it falls back to a per-emission scalar loop,
-matching the PR 2/4 convention.  Both paths are pure functions of the
-metric sequence — determinism is pinned by property tests.
+prefix-sum over the extended metric history).  It is a pure function
+of the metric sequence — determinism is pinned by property tests.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import StreamError
-from repro.stream.window import _injection_active
 
 
 @dataclass(frozen=True)
@@ -117,14 +114,6 @@ class DriftDetector:
         lo = hi - cfg.reference
         valid = lo >= 0
         if not valid.any():
-            return flags
-        if _injection_active():
-            for j in np.flatnonzero(valid):
-                ref = ext[lo[j]:hi[j]].sum(axis=0) / cfg.reference
-                dev = np.abs(metrics[j] - ref)
-                tol = np.maximum(cfg.rel_threshold * np.abs(ref),
-                                 cfg.abs_floor_pct)
-                flags[j] = bool((dev > tol).any())
             return flags
         cum = np.zeros((len(ext) + 1, self.num_metrics), dtype=np.float64)
         np.cumsum(ext, axis=0, out=cum[1:])

@@ -71,14 +71,13 @@ def proposed_model(recommendation: Recommendation, active: str) -> str:
 
 @dataclass(frozen=True)
 class StreamConfig:
-    """Knobs of one streaming run (all CLI-surfaced)."""
+    """Knobs of one streaming run."""
 
     window: int = 2048
     stride: int = 64
     hysteresis: int = 3
     chunk_size: int = 8192
     drift: DriftConfig = field(default_factory=DriftConfig)
-    incremental: bool = True
     strict: bool = True
 
     def validated(self) -> "StreamConfig":
@@ -151,7 +150,6 @@ class StreamResult:
     flips: Tuple[FlipEvent, ...]
     elapsed_s: float
     decisions_per_sec: float
-    window_mode: Optional[str]
     last_recommendation: Optional[Recommendation]
 
     @property
@@ -171,7 +169,6 @@ class StreamResult:
             "flips": [flip.to_dict() for flip in self.flips],
             "elapsed_s": self.elapsed_s,
             "decisions_per_sec": self.decisions_per_sec,
-            "window_mode": self.window_mode,
         }
 
 
@@ -223,8 +220,7 @@ class StreamTuner:
     def run(self) -> StreamResult:
         cfg = self.config
         source = self.source
-        windower = SlidingWindow(cfg.spec, len(source.columns),
-                                 incremental=cfg.incremental)
+        windower = SlidingWindow(cfg.spec, len(source.columns))
         detector = DriftDetector(cfg.drift, num_metrics=2)
         hysteresis = _Hysteresis(cfg.hysteresis)
         active = source.initial_model
@@ -280,7 +276,6 @@ class StreamTuner:
             flips=tuple(flips),
             elapsed_s=elapsed,
             decisions_per_sec=rate,
-            window_mode=windower.last_mode,
             last_recommendation=last_recommendation,
         )
 
@@ -401,8 +396,7 @@ class MultiAppStreamTuner:
     def _emission_stream(self, source):
         """Generator of (emission, sums) pairs for one source."""
         cfg = self.config
-        windower = SlidingWindow(cfg.spec, len(source.columns),
-                                 incremental=cfg.incremental)
+        windower = SlidingWindow(cfg.spec, len(source.columns))
         for features in source.feature_chunks(cfg.chunk_size):
             emissions, sums = windower.push(features)
             for i in range(len(emissions)):

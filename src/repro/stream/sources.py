@@ -21,10 +21,8 @@ decision flow consumes.  Two sources are provided:
   profile's rates — the fidelity tests stream the paper workloads this
   way and assert zero spurious flips.
 
-Both extraction paths (vectorized NumPy and the scalar reference) work
-in exact integer arithmetic and produce bit-identical features; the
-vectorized path is disabled under :func:`injection_active`, matching
-the PR 2/4 convention.
+Trace features are computed in exact integer arithmetic, bit-identical
+to a one-access-at-a-time replay of the locality model.
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ import numpy as np
 from repro.errors import StreamError
 from repro.profiling.counters import AppProfile
 from repro.profiling.trace import RecordedTrace
-from repro.stream.window import _injection_active
 
 
 def _safe_div(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -333,8 +330,7 @@ class TraceWindowSource:
                  initial_model: str = "SC",
                  access_size: int = 4,
                  locality: LocalityModel = LocalityModel(),
-                 cpu_side: CpuSideModel = CpuSideModel(),
-                 vectorized: bool = True) -> None:
+                 cpu_side: CpuSideModel = CpuSideModel()) -> None:
         self._trace: Optional[RecordedTrace] = None
         self._chunks: Optional[Iterable[np.ndarray]] = None
         if isinstance(trace_chunks, RecordedTrace):
@@ -348,9 +344,6 @@ class TraceWindowSource:
         self.access_size = access_size
         self.locality = locality.validated()
         self.cpu_side = cpu_side
-        self.vectorized = vectorized
-        #: Which extraction path produced the last chunk's features.
-        self.last_mode: Optional[str] = None
         self._reset_state()
 
     @classmethod
@@ -390,12 +383,7 @@ class TraceWindowSource:
         lines = np.asarray(offsets, dtype=np.int64) // self.locality.line_size
         if len(lines) == 0:
             return np.empty((0, len(TRACE_COLUMNS)), dtype=np.int64)
-        if self.vectorized and not _injection_active():
-            self.last_mode = "vectorized"
-            l1_hit, llc_hit = self._classify_vectorized(lines)
-        else:
-            self.last_mode = "scalar"
-            l1_hit, llc_hit = self._classify_scalar(lines)
+        l1_hit, llc_hit = self._classify(lines)
         loc = self.locality
         n = len(lines)
         features = np.empty((n, len(TRACE_COLUMNS)), dtype=np.int64)
@@ -408,8 +396,8 @@ class TraceWindowSource:
             l1_hit, loc.l1_ns, np.where(llc_hit, loc.llc_ns, loc.dram_ns))
         return features
 
-    def _classify_vectorized(self, lines: np.ndarray
-                             ) -> Tuple[np.ndarray, np.ndarray]:
+    def _classify(self, lines: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(L1 hit, LLC hit) per access, carrying locality state."""
         loc = self.locality
         n = len(lines)
         # L1: line seen within the last `l1_recent` accesses.  Pad the
@@ -445,26 +433,6 @@ class TraceWindowSource:
         last = np.flatnonzero(np.concatenate([first[1:],
                                               np.ones(1, dtype=bool)]))
         self._set_lines[s_sorted[last]] = l_sorted[last]
-        return l1_hit, llc_hit & ~l1_hit
-
-    def _classify_scalar(self, lines: np.ndarray
-                         ) -> Tuple[np.ndarray, np.ndarray]:
-        """Reference path: one access at a time, identical semantics."""
-        loc = self.locality
-        recent = list(self._recent)
-        n = len(lines)
-        l1_hit = np.zeros(n, dtype=bool)
-        llc_hit = np.zeros(n, dtype=bool)
-        for i in range(n):
-            line = int(lines[i])
-            l1_hit[i] = line in recent
-            cache_set = line % loc.llc_sets
-            llc_hit[i] = self._set_lines[cache_set] == line
-            self._set_lines[cache_set] = line
-            recent.append(line)
-            if len(recent) > loc.l1_recent:
-                recent.pop(0)
-        self._recent = np.asarray(recent, dtype=np.int64)
         return l1_hit, llc_hit & ~l1_hit
 
     # -- window -> profile ---------------------------------------------

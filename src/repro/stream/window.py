@@ -12,30 +12,17 @@ per event.
 All features are **int64 counts** (accesses, hits, bytes, integer
 nanoseconds).  Integer addition is exact and associative, so a
 prefix-sum difference is *bit-identical* to directly summing the same
-window slice — the property the equivalence tests and the
-``stream.incremental_speedup`` regression probe both pin down.
-
-Following the PR 2/4 convention, the incremental path is disabled while
-a fault injection plan is active (:func:`injection_active`): the
-windower then falls back to the per-window recompute reference, and
-records which path answered in :attr:`SlidingWindow.last_mode`.
+window slice — the property the equivalence tests pin down.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro.errors import StreamError
-
-
-def _injection_active() -> bool:
-    """Whether a fault plan is live (lazy import: no cycle at load)."""
-    from repro.robustness.inject import injection_active
-
-    return injection_active()
 
 
 @dataclass(frozen=True)
@@ -83,8 +70,7 @@ class SlidingWindow:
     (``window - 1`` rows) — never the stream.
     """
 
-    def __init__(self, spec: WindowSpec, num_features: int,
-                 incremental: bool = True) -> None:
+    def __init__(self, spec: WindowSpec, num_features: int) -> None:
         self.spec = spec.validated()
         if num_features < 1:
             raise StreamError(
@@ -93,10 +79,6 @@ class SlidingWindow:
                 details={"num_features": num_features},
             )
         self.num_features = num_features
-        self.incremental = incremental
-        #: Which path produced the last push's sums ("incremental" or
-        #: "recompute") — the fault-gate tests read this.
-        self.last_mode: Optional[str] = None
         self._seen = 0
         self._tail = np.empty((0, num_features), dtype=np.int64)
 
@@ -149,12 +131,7 @@ class SlidingWindow:
         if len(emissions):
             hi = emissions - base
             lo = hi - window
-            if self.incremental and not _injection_active():
-                self.last_mode = "incremental"
-                sums = self._incremental_sums(ext, lo, hi)
-            else:
-                self.last_mode = "recompute"
-                sums = self._recompute_sums(ext, lo, hi)
+            sums = self._incremental_sums(ext, lo, hi)
         else:
             sums = np.empty((0, self.num_features), dtype=np.int64)
         keep = min(window - 1, len(ext))
@@ -181,28 +158,12 @@ class SlidingWindow:
         np.cumsum(ext, axis=0, out=cum[1:])
         return cum[hi] - cum[lo]
 
-    @staticmethod
-    def _recompute_sums(ext: np.ndarray, lo: np.ndarray,
-                        hi: np.ndarray) -> np.ndarray:
-        """The naive reference: one full window re-sum per emission."""
-        sums = np.empty((len(lo), ext.shape[1]), dtype=np.int64)
-        for row, (start, stop) in enumerate(zip(lo, hi)):
-            sums[row] = ext[start:stop].sum(axis=0, dtype=np.int64)
-        return sums
-
 
 def sliding_window_sums(features: np.ndarray, spec: WindowSpec,
-                        chunk_size: int = 8192,
-                        incremental: bool = True
+                        chunk_size: int = 8192
                         ) -> Tuple[np.ndarray, np.ndarray]:
-    """One-shot convenience: window a whole feature matrix in chunks.
-
-    Used by the equivalence tests and the regression probe — both paths
-    see identical chunking, so any difference is the aggregation
-    arithmetic itself.
-    """
-    windower = SlidingWindow(spec, features.shape[1],
-                             incremental=incremental)
+    """One-shot convenience: window a whole feature matrix in chunks."""
+    windower = SlidingWindow(spec, features.shape[1])
     emissions = []
     sums = []
     for start in range(0, len(features), chunk_size):

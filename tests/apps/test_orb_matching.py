@@ -5,9 +5,11 @@ import pytest
 
 from repro.apps.orbslam.matching import (
     MatchingError,
+    _byte_hamming_distance_matrix,
     hamming_distance_matrix,
     match_descriptors,
 )
+from tests.apps.reference import match_descriptors_per_query
 
 
 def descriptor(*byte_values):
@@ -98,7 +100,7 @@ class TestVectorizedEquivalence:
 
         a, b = self._random_pair()
         packed = packed_hamming_distance_matrix(a, b)
-        reference = hamming_distance_matrix(a, b, vectorized=False)
+        reference = _byte_hamming_distance_matrix(a, b)
         assert np.array_equal(packed, reference)
 
     def test_blas_branch_identical(self):
@@ -106,16 +108,16 @@ class TestVectorizedEquivalence:
         # identity path must still be bit-exact.
         a, b = self._random_pair(n=300, m=250)
         assert a.shape[0] * b.shape[0] >= 1 << 16
-        fast = hamming_distance_matrix(a, b, vectorized=True)
-        slow = hamming_distance_matrix(a, b, vectorized=False)
+        fast = hamming_distance_matrix(a, b)
+        slow = _byte_hamming_distance_matrix(a, b)
         assert np.array_equal(fast, slow)
 
     def test_odd_width_uses_lut(self):
         from repro.apps.orbslam.matching import packed_hamming_distance_matrix
 
         a, b = self._random_pair(width=9)
-        fast = hamming_distance_matrix(a, b, vectorized=True)
-        slow = hamming_distance_matrix(a, b, vectorized=False)
+        fast = hamming_distance_matrix(a, b)
+        slow = _byte_hamming_distance_matrix(a, b)
         assert np.array_equal(fast, slow)
         with pytest.raises(MatchingError):
             packed_hamming_distance_matrix(a, b)
@@ -127,25 +129,26 @@ class TestVectorizedEquivalence:
     def test_match_lists_identical(self, cross_check, max_distance, ratio):
         a, b = self._random_pair(n=60, m=80, seed=5)
         fast = match_descriptors(a, b, max_distance=max_distance,
-                                 ratio=ratio, cross_check=cross_check,
-                                 vectorized=True)
-        slow = match_descriptors(a, b, max_distance=max_distance,
-                                 ratio=ratio, cross_check=cross_check,
-                                 vectorized=False)
+                                 ratio=ratio, cross_check=cross_check)
+        slow = match_descriptors_per_query(a, b, max_distance=max_distance,
+                                           ratio=ratio,
+                                           cross_check=cross_check)
         assert fast == slow
 
     def test_single_train_descriptor(self):
         # One train column: the ratio test has no second-best to apply.
         a, b = self._random_pair(n=8, m=1)
-        assert match_descriptors(a, b, max_distance=256, vectorized=True) \
-            == match_descriptors(a, b, max_distance=256, vectorized=False)
+        assert match_descriptors(a, b, max_distance=256) \
+            == match_descriptors_per_query(a, b, max_distance=256)
 
     def test_injection_uses_scalar_path(self):
+        """Matches under an active injector equal clean matches (no
+        fault seam lives in the matcher)."""
         from repro.robustness.faults import FaultPlan
         from repro.robustness.inject import inject_faults
 
         a, b = self._random_pair()
-        clean = match_descriptors(a, b, vectorized=False)
+        clean = match_descriptors(a, b)
         with inject_faults(FaultPlan(seed=0)):
-            injected = match_descriptors(a, b, vectorized=True)
+            injected = match_descriptors(a, b)
         assert injected == clean

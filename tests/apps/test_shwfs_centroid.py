@@ -1,5 +1,7 @@
 """Centroid extraction: accuracy against injected ground truth."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -124,14 +126,20 @@ class TestSlopesAndReconstruction:
 
 
 class TestVectorizedEquivalence:
-    def _run_both(self, frame, grid, method, **kwargs):
-        from repro.apps.shwfs.centroid import extract_centroids
+    def _run_both(self, frame, grid, method, threshold_fraction=0.15,
+                  window_radius=4):
+        """The production result and the per-window loop's
+        ``(centroids, intensities)``."""
+        from repro.apps.shwfs.centroid import _extract_centroids_scalar
 
-        fast = extract_centroids(frame, grid, method, vectorized=True,
-                                 **kwargs)
-        slow = extract_centroids(frame, grid, method, vectorized=False,
-                                 **kwargs)
-        return fast, slow
+        fast = extract_centroids(frame, grid, method,
+                                 threshold_fraction=threshold_fraction,
+                                 window_radius=window_radius)
+        centroids, intensities = _extract_centroids_scalar(
+            np.asarray(frame, dtype=np.float64), grid, method,
+            threshold_fraction, window_radius)
+        return fast, SimpleNamespace(centroids=centroids,
+                                     intensities=intensities)
 
     @pytest.mark.parametrize("method", list(CentroidMethod))
     def test_matches_scalar_loop(self, method):
@@ -177,6 +185,8 @@ class TestVectorizedEquivalence:
         assert np.array_equal(fast.intensities, slow.intensities)
 
     def test_injection_uses_scalar_path(self):
+        """Centroids under an active injector equal clean centroids (no
+        fault seam lives in the extractor)."""
         from repro.robustness.faults import FaultPlan
         from repro.robustness.inject import inject_faults
 
@@ -185,7 +195,7 @@ class TestVectorizedEquivalence:
         frame = rng.random((24, 32))
         from repro.apps.shwfs.centroid import extract_centroids
 
-        clean = extract_centroids(frame, grid, vectorized=False)
+        clean = extract_centroids(frame, grid)
         with inject_faults(FaultPlan(seed=0)):
-            injected = extract_centroids(frame, grid, vectorized=True)
+            injected = extract_centroids(frame, grid)
         assert np.array_equal(injected.centroids, clean.centroids)

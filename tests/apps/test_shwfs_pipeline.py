@@ -150,6 +150,8 @@ class TestProcessFrames:
         assert all(r.recovered_modes is None for r in batch)
 
     def test_injection_runs_serially(self):
+        """Results under an active injector equal clean results (no
+        fault seam lives in the centroid pipeline)."""
         from repro.robustness.inject import FaultInjector, FaultPlan
 
         pipeline = ShwfsPipeline()

@@ -17,6 +17,7 @@ from repro.soc.board import jetson_tx2, jetson_xavier
 from repro.soc.events import OverlapJob
 from repro.soc.stream import AccessStream
 from repro.units import gbps
+from tests.comm.reference import tiled_execution_per_phase
 
 
 def make_spec(size_bytes=64 * 1024):
@@ -193,10 +194,9 @@ class TestVectorizedTiming:
         board = jetson_tx2()
         plan = TilingPlan.for_buffer(make_spec(), board, num_phases=phases)
         cpu, gpu = self.make_jobs()
-        fast = TiledZeroCopyPattern(plan, vectorized=True) \
+        fast = TiledZeroCopyPattern(plan) \
             .overlapped_execution(cpu, gpu, board.interconnect)
-        slow = TiledZeroCopyPattern(plan, vectorized=False) \
-            .overlapped_execution(cpu, gpu, board.interconnect)
+        slow = tiled_execution_per_phase(plan, cpu, gpu, board.interconnect)
         assert fast.total_time_s == slow.total_time_s
         assert fast.sync_overhead_s == slow.sync_overhead_s
         assert len(fast.phase_results) == len(slow.phase_results) == phases
@@ -204,15 +204,17 @@ class TestVectorizedTiming:
             assert a.makespan_s == b.makespan_s
 
     def test_injection_uses_per_phase_loop(self):
+        """Timing under an active injector equals clean timing (no fault
+        seam lives in the overlap arbiter)."""
         from repro.robustness.faults import FaultPlan
         from repro.robustness.inject import inject_faults
 
         board = jetson_xavier()
         plan = TilingPlan.for_buffer(make_spec(), board, num_phases=4)
         cpu, gpu = self.make_jobs()
-        clean = TiledZeroCopyPattern(plan, vectorized=False) \
+        clean = TiledZeroCopyPattern(plan) \
             .overlapped_execution(cpu, gpu, board.interconnect)
         with inject_faults(FaultPlan(seed=0)):
-            injected = TiledZeroCopyPattern(plan, vectorized=True) \
+            injected = TiledZeroCopyPattern(plan) \
                 .overlapped_execution(cpu, gpu, board.interconnect)
         assert injected.total_time_s == clean.total_time_s

@@ -235,10 +235,13 @@ class TestSuiteIntegration:
         primed.characterize(board)
 
         fresh = MicrobenchmarkSuite(cache_dir=str(tmp_path))
+        loads = []
+        load = fresh.cache.load
+        fresh.cache.load = lambda *args: loads.append(args) or load(*args)
         with inject_faults(FaultPlan(seed=0)):
-            assert fresh._persistent_load(board) is None
             entries_before = CharacterizationCache(tmp_path).entries()
             fresh.characterize(board)  # recomputes under the injector
+            assert loads == []  # the store is not read in the scope
             assert CharacterizationCache(tmp_path).entries() == entries_before
         # Outside the injector the persisted entry is visible again.
         assert fresh._persistent_load(board) is not None

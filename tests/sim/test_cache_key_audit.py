@@ -57,7 +57,6 @@ class TestEveryConfigFieldKeyed:
             "row_hit_efficiency": 0.8,
             "row_miss_efficiency": 0.4,
             "contention_quantum_bytes": 8192,
-            "vectorized": False,
             "seed": 1,
         }
         assert set(perturbed) == {f.name for f in dataclasses.fields(SimConfig)}

@@ -8,11 +8,9 @@ from repro.sim.config import SimConfig
 CONFIG = SimConfig()
 
 
-def replay(addrs, config=CONFIG, state=None, vectorized=True):
+def replay(addrs, config=CONFIG, state=None):
     state = state or dramsim.DRAMSimState(config)
-    return state, dramsim.access(
-        state, np.asarray(addrs, dtype=np.int64), vectorized=vectorized
-    )
+    return state, dramsim.access(state, np.asarray(addrs, dtype=np.int64))
 
 
 class TestRowBuffer:

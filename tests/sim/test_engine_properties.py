@@ -1,11 +1,12 @@
 """Property tests: the vectorized simulator equals the scalar reference.
 
-The NumPy lockstep fast path (and its run-collapse preprocessing) must
-be *bit-identical* to the temporal-order scalar replay — same hit mask,
-same miss lines in temporal order, same writeback count, same final
-tag/MRU/dirty state — for any trace and any cache geometry.  The same
-pinning covers the DRAM row-buffer model, and fault injection must
-force the scalar path exactly like every other vectorized seam.
+The NumPy lockstep engine (and its run-collapse preprocessing) must
+be *bit-identical* to the temporal-order scalar replay in
+``tests/sim/reference.py`` — same hit mask, same miss lines in temporal
+order, same writeback count, same final tag/MRU/dirty state — for any
+trace and any cache geometry.  The same pinning covers the DRAM
+row-buffer model.  No fault seam lives in either engine, so results
+under an active injector equal clean ones.
 """
 
 import numpy as np
@@ -17,6 +18,7 @@ from repro.robustness.inject import inject_faults
 from repro.sim import dramsim
 from repro.sim.config import SimConfig
 from repro.sim.engine import CacheSimState, access_trace
+from tests.sim.reference import access_trace_scalar, dram_access_scalar
 
 geometry = st.sampled_from(
     [(1, 1), (4, 2), (8, 3), (16, 4), (8, 6), (2, 16)]
@@ -46,12 +48,8 @@ def test_vectorized_matches_scalar_bit_identical(geo, pairs, pol):
     addrs, writes = to_arrays(pairs)
     ref = CacheSimState(num_sets=num_sets, ways=ways, line_size=64)
     fast = ref.clone()
-    r_ref = access_trace(
-        ref, addrs, writes, write_back, write_allocate, vectorized=False
-    )
-    r_fast = access_trace(
-        fast, addrs, writes, write_back, write_allocate, vectorized=True
-    )
+    r_ref = access_trace_scalar(ref, addrs, writes, write_back, write_allocate)
+    r_fast = access_trace(fast, addrs, writes, write_back, write_allocate)
     assert np.array_equal(r_ref.hits, r_fast.hits)
     assert np.array_equal(
         r_ref.miss_line_addresses, r_fast.miss_line_addresses
@@ -96,8 +94,8 @@ def test_dram_vectorized_matches_scalar(addrs):
     addresses = np.array(addrs, dtype=np.int64)
     ref = dramsim.DRAMSimState(config)
     fast = ref.clone()
-    r_ref = dramsim.access(ref, addresses, vectorized=False)
-    r_fast = dramsim.access(fast, addresses, vectorized=True)
+    r_ref = dram_access_scalar(ref, addresses)
+    r_fast = dramsim.access(fast, addresses)
     assert np.array_equal(r_ref.hit_mask, r_fast.hit_mask)
     assert r_ref.row_hits == r_fast.row_hits
     assert r_ref.row_misses == r_fast.row_misses
@@ -105,44 +103,28 @@ def test_dram_vectorized_matches_scalar(addrs):
     assert r_ref.busy_cycles(config) == r_fast.busy_cycles(config)
 
 
-def test_injection_forces_scalar_cache_path(monkeypatch):
-    """An active fault injection must bypass the lockstep fast path."""
-    calls = []
-    import repro.sim.engine as engine
-
-    real = engine._core_scalar
-
-    def spy(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(engine, "_core_scalar", spy)
-    # Long linear trace: without injection this takes the lockstep path.
+def test_injection_forces_scalar_cache_path():
+    """A replay under an active injector equals a clean replay."""
+    # Long linear trace: it takes the lockstep core.
     addrs = np.arange(4096, dtype=np.int64) * 64
     writes = np.zeros(4096, dtype=bool)
     state = CacheSimState(num_sets=64, ways=4, line_size=64)
     with inject_faults(FaultPlan(seed=0)):
-        result = access_trace(state, addrs, writes, vectorized=True)
-    assert calls, "injection did not force the scalar reference"
-    # And the forced-scalar result still matches a clean vectorized run.
+        result = access_trace(state, addrs, writes)
     clean = CacheSimState(num_sets=64, ways=4, line_size=64)
-    expected = access_trace(clean, addrs, writes, vectorized=True)
+    expected = access_trace(clean, addrs, writes)
     assert np.array_equal(result.hits, expected.hits)
     assert state.state_equal(clean)
 
 
-def test_injection_forces_scalar_dram_path(monkeypatch):
-    calls = []
-    real = dramsim._access_scalar
-
-    def spy(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(dramsim, "_access_scalar", spy)
+def test_injection_forces_scalar_dram_path():
+    """A row-buffer replay under an active injector equals a clean one."""
     config = SimConfig()
-    state = dramsim.DRAMSimState(config)
     addrs = np.arange(1024, dtype=np.int64) * 64
+    state = dramsim.DRAMSimState(config)
     with inject_faults(FaultPlan(seed=0)):
-        dramsim.access(state, addrs, vectorized=True)
-    assert calls, "injection did not force the scalar DRAM reference"
+        result = dramsim.access(state, addrs)
+    clean = dramsim.DRAMSimState(config)
+    expected = dramsim.access(clean, addrs)
+    assert np.array_equal(result.hit_mask, expected.hit_mask)
+    assert np.array_equal(state.open_rows, clean.open_rows)

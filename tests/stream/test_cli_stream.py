@@ -18,7 +18,6 @@ def test_stream_defaults_run(tmp_path, capsys):
     payload = json.loads(out_path.read_text())
     assert payload["board"] == "xavier"
     assert payload["decisions"] > 0
-    assert payload["window_mode"] == "incremental"
 
 
 def test_stream_bad_window_is_coded_error(capsys):

@@ -1,4 +1,4 @@
-"""Drift detector: warm-up, step response, determinism, fault parity."""
+"""Drift detector: warm-up, step response, determinism, reference parity."""
 
 import numpy as np
 import pytest
@@ -7,6 +7,7 @@ from repro.errors import StreamError
 from repro.robustness.faults import FaultPlan
 from repro.robustness.inject import inject_faults
 from repro.stream.drift import DriftConfig, DriftDetector
+from tests.stream.reference import drift_flags_per_emission
 
 CFG = DriftConfig(lag=2, reference=4)
 
@@ -86,7 +87,18 @@ class TestDeterminism:
         assert np.array_equal(run_detector(metrics),
                               run_detector(metrics))
 
+    @pytest.mark.parametrize("block", [None, 1, 7])
+    def test_matches_per_emission_reference(self, block):
+        rng = np.random.default_rng(17)
+        metrics = rng.uniform(0, 50, size=(120, 2))
+        metrics[60:] *= 2.0
+        expected = drift_flags_per_emission(metrics, CFG)
+        assert expected.any() and not expected.all()
+        assert np.array_equal(run_detector(metrics, block=block), expected)
+
     def test_injection_scalar_path_matches(self):
+        """Flags under an active injector equal clean flags (no fault
+        seam lives in the detector)."""
         rng = np.random.default_rng(13)
         metrics = rng.uniform(0, 50, size=(80, 2))
         clean = run_detector(metrics)

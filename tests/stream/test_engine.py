@@ -123,7 +123,6 @@ class TestSingleApp:
                              CONFIG).run()
         assert result.drift_windows == 0
         assert len(result.flips) <= 1
-        assert result.window_mode == "incremental"
         assert result.decisions == result.windows > 0
         # The stream ends at equilibrium: the last decision (made
         # against the final active model) proposes no further change.

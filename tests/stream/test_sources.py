@@ -20,6 +20,7 @@ from repro.stream.sources import (
     TraceWindowSource,
 )
 from repro.stream.window import SlidingWindow, WindowSpec
+from tests.stream.reference import classify_per_access
 
 
 class TestCounterSource:
@@ -94,14 +95,14 @@ def sample_trace(n=4096, seed=5):
 
 
 class TestTraceSource:
-    def test_vectorized_matches_scalar(self):
+    def test_vectorized_matches_scalar(self, monkeypatch):
         trace = sample_trace()
-        fast = TraceWindowSource(trace, "t", "xavier", vectorized=True)
-        slow = TraceWindowSource(trace, "t", "xavier", vectorized=False)
+        fast = TraceWindowSource(trace, "t", "xavier")
         fast_rows = np.concatenate(list(fast.feature_chunks(512)))
+        slow = TraceWindowSource(trace, "t", "xavier")
+        monkeypatch.setattr(slow, "_classify",
+                            lambda lines: classify_per_access(slow, lines))
         slow_rows = np.concatenate(list(slow.feature_chunks(512)))
-        assert fast.last_mode == "vectorized"
-        assert slow.last_mode == "scalar"
         assert np.array_equal(fast_rows, slow_rows)
 
     def test_chunking_invariant(self):
@@ -112,12 +113,13 @@ class TestTraceSource:
         assert np.array_equal(big, small)
 
     def test_injection_uses_scalar_path(self):
+        """Features under an active injector equal clean features (no
+        fault seam lives in the source)."""
         trace = sample_trace(seed=7)
-        source = TraceWindowSource(trace, "t", "xavier", vectorized=True)
+        source = TraceWindowSource(trace, "t", "xavier")
         clean = np.concatenate(list(source.feature_chunks(512)))
         with inject_faults(FaultPlan(seed=0)):
             gated = np.concatenate(list(source.feature_chunks(512)))
-            assert source.last_mode == "scalar"
         assert np.array_equal(gated, clean)
 
     def test_csv_stream_is_single_pass(self, tmp_path):
