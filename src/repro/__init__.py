@@ -23,35 +23,30 @@ Quick start::
     print(device.gpu_threshold_pct, device.zc_sc_throughput_ratio)
 """
 
-from repro.comm import ExecutionReport, get_model
-from repro.kernels import (
-    BufferSpec,
-    CpuTask,
-    GpuKernel,
-    OpMix,
-    Workload,
-)
-from repro.microbench import (
-    FirstMicroBenchmark,
-    MicrobenchmarkSuite,
-    SecondMicroBenchmark,
-    ThirdMicroBenchmark,
-)
-from repro.model import Framework, Recommendation, TuningReport, decide
-from repro.model.device import DeviceCharacterization
-from repro.profiling import AppProfile, Profiler
-from repro.soc import (
-    AccessStream,
-    BoardConfig,
-    SoC,
-    available_boards,
-    get_board,
-    jetson_nano,
-    jetson_tx2,
-    jetson_xavier,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.comm.base": ("get_model",),
+    "repro.comm.report": ("ExecutionReport",),
+    "repro.kernels.ops": ("OpMix",),
+    "repro.kernels.task": ("CpuTask", "GpuKernel"),
+    "repro.kernels.workload": ("BufferSpec", "Workload"),
+    "repro.microbench.first": ("FirstMicroBenchmark",),
+    "repro.microbench.second": ("SecondMicroBenchmark",),
+    "repro.microbench.third": ("ThirdMicroBenchmark",),
+    "repro.microbench.suite": ("MicrobenchmarkSuite",),
+    "repro.model.framework": ("Framework", "TuningReport"),
+    "repro.model.decision": ("Recommendation", "decide"),
+    "repro.model.device": ("DeviceCharacterization",),
+    "repro.profiling.counters": ("AppProfile",),
+    "repro.profiling.profiler": ("Profiler",),
+    "repro.soc.stream": ("AccessStream",),
+    "repro.soc.board": ("BoardConfig", "available_boards", "get_board",
+                        "jetson_nano", "jetson_tx2", "jetson_xavier"),
+    "repro.soc.soc": ("SoC",),
+})
 
 __all__ = [
     "ExecutionReport",

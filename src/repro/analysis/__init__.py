@@ -7,19 +7,15 @@
   paper's figures (CSV rows / ASCII plots for terminals).
 """
 
-from repro.analysis.tables import (
-    PAPER_REFERENCE,
-    Table,
-    format_table,
-    paper_speedup_pct,
-)
-from repro.analysis.figures import FigureSeries, ascii_chart
-from repro.analysis.validation import (
-    ReproductionCheck,
-    Verdict,
-    run_reproduction_checks,
-    summarize,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.analysis.tables": ("PAPER_REFERENCE", "Table", "format_table",
+                              "paper_speedup_pct"),
+    "repro.analysis.figures": ("FigureSeries", "ascii_chart"),
+    "repro.analysis.validation": ("ReproductionCheck", "Verdict",
+                                  "run_reproduction_checks", "summarize"),
+})
 
 __all__ = [
     "PAPER_REFERENCE",

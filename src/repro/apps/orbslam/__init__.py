@@ -12,12 +12,16 @@ numpy and provides the calibrated simulator workload:
 - :mod:`repro.apps.orbslam.pipeline` — functional pipeline object.
 """
 
-from repro.apps.orbslam.brief import compute_orientations, rbrief_descriptors
-from repro.apps.orbslam.fast import fast_corners
-from repro.apps.orbslam.matching import match_descriptors
-from repro.apps.orbslam.orb import OrbExtractor, OrbFeatures
-from repro.apps.orbslam.pipeline import OrbPipeline
-from repro.apps.orbslam.workload import build_orbslam_workload
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.apps.orbslam.brief": ("compute_orientations", "rbrief_descriptors"),
+    "repro.apps.orbslam.fast": ("fast_corners",),
+    "repro.apps.orbslam.matching": ("match_descriptors",),
+    "repro.apps.orbslam.orb": ("OrbExtractor", "OrbFeatures"),
+    "repro.apps.orbslam.pipeline": ("OrbPipeline",),
+    "repro.apps.orbslam.workload": ("build_orbslam_workload",),
+})
 
 __all__ = [
     "fast_corners",

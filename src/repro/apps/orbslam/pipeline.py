@@ -4,19 +4,23 @@
 frames (textured scenes with a known shift, so matching accuracy is
 verifiable) and exposes the calibrated simulator workload for the
 tuning framework, mirroring :class:`repro.apps.shwfs.pipeline.ShwfsPipeline`.
+As there, the tuning path loads neither NumPy nor the image modules.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
-import numpy as np
-
-from repro.apps.orbslam.matching import Match, match_descriptors
-from repro.apps.orbslam.orb import OrbExtractor, OrbFeatures
 from repro.apps.orbslam.workload import OrbWorkloadConfig, build_orbslam_workload
 from repro.kernels.workload import Workload
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from repro.apps.orbslam.matching import Match
+    from repro.apps.orbslam.orb import OrbExtractor, OrbFeatures
 
 
 def synthetic_scene(
@@ -33,6 +37,8 @@ def synthetic_scene(
     so the sequence of generator calls — and therefore the scene for a
     given seed — is fixed.
     """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     image = np.full((height, width), 20.0)
     for _ in range(blobs):
@@ -46,6 +52,8 @@ def synthetic_scene(
 
 def shift_scene(image: np.ndarray, dx: int, dy: int) -> np.ndarray:
     """Translate a frame (wrapping) — a known camera motion for tests."""
+    import numpy as np
+
     return np.roll(np.roll(image, dy, axis=0), dx, axis=1)
 
 
@@ -68,7 +76,15 @@ class OrbPipeline:
     """Functional ORB front end with tuning hooks."""
 
     def __init__(self, extractor: Optional[OrbExtractor] = None) -> None:
-        self.extractor = extractor or OrbExtractor()
+        if extractor is not None:
+            self.extractor = extractor
+
+    @functools.cached_property
+    def extractor(self) -> OrbExtractor:
+        """The default extractor, built on first use."""
+        from repro.apps.orbslam.orb import OrbExtractor
+
+        return OrbExtractor()
 
     def extract(self, image: np.ndarray) -> OrbFeatures:
         """Run the extractor on one frame."""
@@ -76,6 +92,10 @@ class OrbPipeline:
 
     def track(self, frame_a: np.ndarray, frame_b: np.ndarray) -> TrackingResult:
         """Extract and match two frames; estimate the dominant shift."""
+        import numpy as np
+
+        from repro.apps.orbslam.matching import match_descriptors
+
         features_a = self.extract(frame_a)
         features_b = self.extract(frame_b)
         matches = match_descriptors(features_a.descriptors, features_b.descriptors)

@@ -22,14 +22,16 @@ Public API:
   end-to-end pipeline.
 """
 
-from repro.apps.shwfs.centroid import (
-    CentroidResult,
-    SubapertureGrid,
-    extract_centroids,
-)
-from repro.apps.shwfs.optics import ShwfsOptics, simulate_shwfs_image, zernike
-from repro.apps.shwfs.pipeline import ShwfsPipeline
-from repro.apps.shwfs.workload import build_shwfs_workload
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.apps.shwfs.centroid": ("CentroidResult", "SubapertureGrid",
+                                  "extract_centroids"),
+    "repro.apps.shwfs.optics": ("ShwfsOptics", "simulate_shwfs_image",
+                                "zernike"),
+    "repro.apps.shwfs.pipeline": ("ShwfsPipeline",),
+    "repro.apps.shwfs.workload": ("build_shwfs_workload",),
+})
 
 __all__ = [
     "CentroidResult",

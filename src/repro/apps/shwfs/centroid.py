@@ -16,26 +16,18 @@ loop.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.apps.shwfs.config import CentroidMethod
 from repro.errors import ReproError
 from repro.apps.shwfs.optics import ShwfsOptics, reference_centers, zernike
 
 
 class CentroidError(ReproError):
     """Malformed frame or grid for centroid extraction."""
-
-
-class CentroidMethod(enum.Enum):
-    """Which estimator to run per subaperture."""
-
-    COG = "cog"
-    THRESHOLDED_COG = "thresholded"
-    WINDOWED_COG = "windowed"
 
 
 @dataclass(frozen=True)

@@ -16,16 +16,11 @@ expressed here directly in pixels via a configurable gain.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import ReproError
-
-
-class OpticsError(ReproError):
-    """Invalid optics configuration or Zernike request."""
+from repro.apps.shwfs.config import OpticsError, ShwfsOptics
 
 
 # ----------------------------------------------------------------------
@@ -115,56 +110,6 @@ def zernike_surface(coefficients: Sequence[float], size: int) -> np.ndarray:
 # ----------------------------------------------------------------------
 # Sensor model
 # ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ShwfsOptics:
-    """Geometry of the sensor.
-
-    Attributes:
-        image_width / image_height: camera frame in pixels.
-        subaperture_px: square subaperture side in pixels.
-        spot_sigma_px: Gaussian spot width.
-        gradient_gain_px: pixels of spot displacement per unit of
-            wavefront gradient (folds the lenslet focal length and
-            pixel pitch into one constant).
-        spot_peak: peak intensity of an undisturbed spot.
-    """
-
-    image_width: int = 320
-    image_height: int = 240
-    subaperture_px: int = 20
-    spot_sigma_px: float = 2.0
-    gradient_gain_px: float = 8.0
-    spot_peak: float = 1000.0
-
-    def __post_init__(self) -> None:
-        if self.image_width <= 0 or self.image_height <= 0:
-            raise OpticsError("image dimensions must be positive")
-        if self.subaperture_px < 4:
-            raise OpticsError("subapertures must be at least 4 px wide")
-        if self.image_width % self.subaperture_px or self.image_height % self.subaperture_px:
-            raise OpticsError(
-                f"image {self.image_width}x{self.image_height} is not a "
-                f"multiple of the subaperture size {self.subaperture_px}"
-            )
-        if self.spot_sigma_px <= 0:
-            raise OpticsError("spot sigma must be positive")
-
-    @property
-    def grid_cols(self) -> int:
-        """Number of subapertures across."""
-        return self.image_width // self.subaperture_px
-
-    @property
-    def grid_rows(self) -> int:
-        """Number of subapertures down."""
-        return self.image_height // self.subaperture_px
-
-    @property
-    def num_subapertures(self) -> int:
-        """Total lenslet count."""
-        return self.grid_cols * self.grid_rows
 
 
 def wavefront_slopes(

@@ -9,32 +9,26 @@ calibrated simulator workload so one object serves both purposes:
 - ``workload`` / ``tune`` — profile and tune the application's
   communication model on a simulated board, exactly as the paper does
   in §IV-B.
+
+The tuning path needs only the sensor geometry: NumPy and the image
+modules load on the first functional call.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+import math
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
-import numpy as np
-
-from repro.apps.shwfs.centroid import (
-    CentroidMethod,
-    CentroidResult,
-    SubapertureGrid,
-    displacements_to_slopes,
-    extract_centroids,
-    reconstruct_modes,
-)
-from repro.apps.shwfs.optics import (
-    ShwfsOptics,
-    reference_centers,
-    simulate_shwfs_image,
-    zernike_surface,
-)
+from repro.apps.shwfs.config import CentroidMethod, ShwfsOptics
 from repro.apps.shwfs.workload import ShwfsWorkloadConfig, build_shwfs_workload
 from repro.kernels.workload import Workload
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from repro.apps.shwfs.centroid import CentroidResult, SubapertureGrid
 
 
 @dataclass
@@ -50,7 +44,7 @@ class FrameResult:
     def displacement_rmse_px(self) -> float:
         """RMS error of the recovered spot displacements (pixels)."""
         err = self.centroids.displacements - self.true_displacements
-        return float(np.sqrt(np.mean(err ** 2)))
+        return math.sqrt(float((err ** 2).mean()))
 
 
 def _process_shared_frame(pipeline, reconstruct, arrays, index):
@@ -77,8 +71,19 @@ class ShwfsPipeline:
         self.optics = optics or ShwfsOptics()
         self.method = method
         self.modes = tuple(modes)
-        self.grid = SubapertureGrid.from_optics(self.optics)
-        self._reference = reference_centers(self.optics)
+
+    @functools.cached_property
+    def grid(self) -> SubapertureGrid:
+        """The subaperture grid of :attr:`optics`."""
+        from repro.apps.shwfs.centroid import SubapertureGrid
+
+        return SubapertureGrid.from_optics(self.optics)
+
+    @functools.cached_property
+    def _reference(self) -> np.ndarray:
+        from repro.apps.shwfs.optics import reference_centers
+
+        return reference_centers(self.optics)
 
     # ------------------------------------------------------------------
     # functional path
@@ -91,6 +96,13 @@ class ShwfsPipeline:
         seed: int = 0,
     ):
         """Synthesize a sensor frame for the given aberration."""
+        import numpy as np
+
+        from repro.apps.shwfs.optics import (
+            simulate_shwfs_image,
+            zernike_surface,
+        )
+
         surface = zernike_surface(zernike_coefficients, size=64)
         rng = np.random.default_rng(seed)
         return simulate_shwfs_image(
@@ -104,6 +116,14 @@ class ShwfsPipeline:
         reconstruct: bool = True,
     ) -> FrameResult:
         """Run the centroid pipeline on one frame."""
+        import numpy as np
+
+        from repro.apps.shwfs.centroid import (
+            displacements_to_slopes,
+            extract_centroids,
+            reconstruct_modes,
+        )
+
         result = extract_centroids(
             image, self.grid, method=self.method, reference=self._reference
         )
@@ -136,6 +156,8 @@ class ShwfsPipeline:
         unpickling one frame per task.  Results keep input order and
         equal a serial :meth:`process_frame` loop exactly.
         """
+        import numpy as np
+
         from repro.perf.parallel import ParallelRunner
 
         frames = [np.asarray(f, dtype=np.float64) for f in frames]

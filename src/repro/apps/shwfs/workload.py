@@ -24,15 +24,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.apps.shwfs.config import ShwfsOptics
 from repro.kernels.ops import OpMix
 from repro.kernels.patterns import LinearPattern, StridedPattern
 from repro.kernels.task import CpuTask, GpuKernel
 from repro.kernels.workload import BufferSpec, Direction, Workload
 
-#: Camera frame geometry (matches the functional pipeline default).
-IMAGE_WIDTH = 320
-IMAGE_HEIGHT = 240
-SUBAPERTURE_PX = 20
+#: Camera frame geometry: the functional pipeline's default sensor.
+_SENSOR = ShwfsOptics()
 
 #: Calibration table the CPU hot loop walks (bytes).
 CALIB_TABLE_BYTES = 48 * 1024
@@ -66,9 +65,9 @@ FIXED_OVERHEAD_S = {
 class ShwfsWorkloadConfig:
     """Knobs of the generated workload."""
 
-    width: int = IMAGE_WIDTH
-    height: int = IMAGE_HEIGHT
-    subaperture_px: int = SUBAPERTURE_PX
+    width: int = _SENSOR.image_width
+    height: int = _SENSOR.image_height
+    subaperture_px: int = _SENSOR.subaperture_px
     frames: int = 100
     overlappable: bool = True
     #: Board whose calibrated fixed overhead to apply ("" → none).

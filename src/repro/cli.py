@@ -68,6 +68,7 @@ import sys
 from typing import Callable, Dict, List, Optional
 
 from repro.analysis.tables import Table, paper_speedup_pct
+from repro.apps import build_workload
 from repro.errors import ReproError
 from repro.model.framework import Framework
 from repro.soc.board import available_boards, get_board
@@ -83,18 +84,6 @@ def _get_pipeline(app: str):
         from repro.apps.orbslam import OrbPipeline
 
         return OrbPipeline()
-    raise ReproError(f"unknown application {app!r}; available: shwfs, orbslam")
-
-
-def _build_workload(app: str):
-    if app == "shwfs":
-        from repro.apps.shwfs import build_shwfs_workload
-
-        return build_shwfs_workload()
-    if app == "orbslam":
-        from repro.apps.orbslam import build_orbslam_workload
-
-        return build_orbslam_workload()
     raise ReproError(f"unknown application {app!r}; available: shwfs, orbslam")
 
 
@@ -219,8 +208,7 @@ def cmd_obs(args: argparse.Namespace) -> str:
 def cmd_compare(args: argparse.Namespace) -> str:
     """Execute an application under SC, UM and ZC."""
     board = get_board(args.board)
-    pipeline = _get_pipeline(args.app)
-    workload = pipeline.workload(board_name=board.name)
+    workload = build_workload(args.app, board_name=board.name)
     results = Framework(
         backend=getattr(args, "backend", None)
     ).compare_models(workload, board)
@@ -248,9 +236,8 @@ def cmd_sweep(args: argparse.Namespace) -> str:
     from repro.model.whatif import zc_bandwidth_sweep
 
     board = get_board(args.board)
-    pipeline = _get_pipeline(args.app)
     result = zc_bandwidth_sweep(
-        pipeline.workload(board_name=board.name), board,
+        build_workload(args.app, board_name=board.name), board,
         factors=tuple(args.factors),
     )
     table = Table(
@@ -272,7 +259,6 @@ def cmd_inject(args: argparse.Namespace) -> str:
     from repro.robustness import FaultPlan, inject_faults
 
     board = get_board(args.board)
-    pipeline = _get_pipeline(args.app)
     if args.fault:
         plan = FaultPlan.from_cli(args.seed, args.fault)
     else:
@@ -280,7 +266,7 @@ def cmd_inject(args: argparse.Namespace) -> str:
 
     with inject_faults(plan) as injector:
         report = Framework().tune(
-            pipeline.workload(board_name=board.name), board,
+            build_workload(args.app, board_name=board.name), board,
             current_model=args.model, strict=args.strict,
         )
     rec = report.recommendation
@@ -307,8 +293,7 @@ def cmd_validate(args: argparse.Namespace):
     from repro.robustness import FaultPlan, inject_faults, validate
 
     board = get_board(args.board)
-    pipeline = _get_pipeline(args.app)
-    workload = pipeline.workload(board_name=board.name)
+    workload = build_workload(args.app, board_name=board.name)
 
     backend = getattr(args, "backend", None)
     if args.fault:
@@ -524,7 +509,7 @@ def cmd_stream(args: argparse.Namespace) -> str:
     device = framework.characterize(board)
 
     def counter_source(app: str) -> CounterWindowSource:
-        profile = framework.profile(_build_workload(app), board,
+        profile = framework.profile(build_workload(app), board,
                                     model=args.model)
         return CounterWindowSource.from_profile(profile,
                                                 samples=args.samples)
@@ -547,9 +532,9 @@ def cmd_stream(args: argparse.Namespace) -> str:
             workload_name=pathlib.Path(args.trace).stem,
             board_name=args.board, initial_model=args.model)
     elif args.drift_to:
-        before = framework.profile(_build_workload(args.app), board,
+        before = framework.profile(build_workload(args.app), board,
                                    model=args.model)
-        after = framework.profile(_build_workload(args.drift_to), board,
+        after = framework.profile(build_workload(args.drift_to), board,
                                   model=args.model)
         source = CounterWindowSource.drifting(before, after,
                                               samples=args.samples)
@@ -719,14 +704,13 @@ def cmd_explore(args: argparse.Namespace) -> str:
     # flow must reproduce the full flow's recommendation on every one
     # (a low-margin or out-of-trust query falls back to the full
     # characterization, which agrees trivially).
-    pipeline = _get_pipeline(args.app)
     fast_framework = Framework(suite=suite, surrogate=surrogate)
     full_framework = Framework(suite=suite)
     agreements = 0
     surrogate_hits = 0
     holdouts = space.sample(args.holdout, args.seed)
     for board in holdouts:
-        workload = pipeline.workload(board_name=board.name)
+        workload = build_workload(args.app, board_name=board.name)
         fast = fast_framework.tune(workload, board)
         full = full_framework.tune(workload, board)
         surrogate_hits += 1 if fast.via_surrogate else 0

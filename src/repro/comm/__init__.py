@@ -14,13 +14,17 @@ timing/energy breakdown the profiler and the performance model consume:
   the Fig-4 tiled pattern in :mod:`repro.comm.tiling`.
 """
 
-from repro.comm.base import CommModel, get_model
-from repro.comm.report import ExecutionReport, IterationBreakdown
-from repro.comm.standard_copy import StandardCopyModel
-from repro.comm.tiling import TiledZeroCopyPattern, TilingPlan
-from repro.comm.tiling2d import Checkerboard2DPattern, TilingPlan2D
-from repro.comm.unified_memory import UnifiedMemoryModel
-from repro.comm.zero_copy import ZeroCopyModel
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.comm.base": ("CommModel", "get_model"),
+    "repro.comm.report": ("ExecutionReport", "IterationBreakdown"),
+    "repro.comm.standard_copy": ("StandardCopyModel",),
+    "repro.comm.tiling": ("TiledZeroCopyPattern", "TilingPlan"),
+    "repro.comm.tiling2d": ("Checkerboard2DPattern", "TilingPlan2D"),
+    "repro.comm.unified_memory": ("UnifiedMemoryModel",),
+    "repro.comm.zero_copy": ("ZeroCopyModel",),
+})
 
 __all__ = [
     "CommModel",

@@ -8,6 +8,7 @@ accounting.  :class:`CommModel` centralizes those.
 from __future__ import annotations
 
 import abc
+import importlib
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -16,6 +17,7 @@ from repro.errors import ConfigurationError, WorkloadError
 from repro.comm.report import ExecutionReport, IterationBreakdown
 from repro.kernels.workload import Workload
 from repro.soc.address import Buffer, RegionKind
+from repro.soc.coherence import MODEL_SC, MODEL_UM, MODEL_ZC
 from repro.soc.energy import EnergyBreakdown
 from repro.soc.phase import PhaseResult
 from repro.soc.soc import SoC
@@ -195,6 +197,14 @@ class CommModel(abc.ABC):
 
 _MODEL_REGISTRY: Dict[str, type] = {}
 
+#: The module registering each built-in executor, imported on the
+#: model's first :func:`get_model` (not with this module or its package).
+_BUILTIN_MODELS = {
+    MODEL_SC: "repro.comm.standard_copy",
+    MODEL_UM: "repro.comm.unified_memory",
+    MODEL_ZC: "repro.comm.zero_copy",
+}
+
 
 def register_model(cls: type) -> type:
     """Class decorator adding an executor to the registry."""
@@ -208,10 +218,14 @@ def register_model(cls: type) -> type:
 
 def get_model(name: str) -> CommModel:
     """Instantiate an executor by model name ("SC", "UM", "ZC")."""
-    try:
-        return _MODEL_REGISTRY[name.upper()]()
-    except KeyError:
+    key = name.upper()
+    cls = _MODEL_REGISTRY.get(key)
+    if cls is None and key in _BUILTIN_MODELS:
+        importlib.import_module(_BUILTIN_MODELS[key])
+        cls = _MODEL_REGISTRY[key]
+    if cls is None:
         raise ConfigurationError(
             f"unknown communication model {name!r}; "
-            f"available: {sorted(_MODEL_REGISTRY)}"
-        ) from None
+            f"available: {sorted(set(_MODEL_REGISTRY) | set(_BUILTIN_MODELS))}"
+        )
+    return cls()

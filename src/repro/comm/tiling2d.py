@@ -170,7 +170,7 @@ class Checkerboard2DPattern(PatternSpec):
     parity: int
     read_write_pairs: bool = True
 
-    def _build(self, buffer: Buffer, line_size: int) -> AccessStream:
+    def _build(self, streams, buffer: Buffer, line_size: int) -> AccessStream:
         plan = self.plan
         expected = plan.width * plan.height * plan.element_size
         if buffer.size < expected:

@@ -15,26 +15,20 @@ communication model or board:
   communication models execute and the profiler profiles.
 """
 
-from repro.kernels.builders import (
-    gpu_offload,
-    ping_pong,
-    producer_consumer,
-    streaming_reduction,
-)
-from repro.kernels.ops import OpMix, OpSpec, op_table
-from repro.kernels.patterns import (
-    FractionPattern,
-    LinearPattern,
-    PatternSpec,
-    SingleAddressPattern,
-    SparsePattern,
-    StridedPattern,
-    TiledPattern,
-    VirtualLinearPattern,
-    VirtualSparsePattern,
-)
-from repro.kernels.task import CpuTask, GpuKernel
-from repro.kernels.workload import BufferSpec, Workload
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.kernels.builders": ("gpu_offload", "ping_pong",
+                               "producer_consumer", "streaming_reduction"),
+    "repro.kernels.ops": ("OpMix", "OpSpec", "op_table"),
+    "repro.kernels.patterns": ("FractionPattern", "LinearPattern",
+                               "PatternSpec", "SingleAddressPattern",
+                               "SparsePattern", "StridedPattern",
+                               "TiledPattern", "VirtualLinearPattern",
+                               "VirtualSparsePattern"),
+    "repro.kernels.task": ("CpuTask", "GpuKernel"),
+    "repro.kernels.workload": ("BufferSpec", "Workload"),
+})
 
 __all__ = [
     "producer_consumer",

@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from repro.errors import WorkloadError
 from repro.soc.address import Buffer
-from repro.soc.stream import AccessStream, PatternKind
+
+if TYPE_CHECKING:
+    from repro.soc.stream import AccessStream
 
 
 class PatternSpec(abc.ABC):
@@ -36,14 +38,19 @@ class PatternSpec(abc.ABC):
             line_size: cache line size of the accessing processor (used
                 by patterns whose shape depends on line granularity).
         """
+        # Streams exist only in simulation: NumPy loads with the first.
+        from repro.soc.stream import AccessStream
+
         buffer = self._resolve(buffers)
-        stream = self._build(buffer, line_size)
+        stream = self._build(AccessStream, buffer, line_size)
         stream.region_kind = buffer.region.kind
         return stream
 
     @abc.abstractmethod
-    def _build(self, buffer: Buffer, line_size: int) -> AccessStream:
-        """Shape-specific materialization."""
+    def _build(self, streams: type, buffer: Buffer,
+               line_size: int) -> AccessStream:
+        """Shape-specific materialization through the ``streams``
+        (:class:`~repro.soc.stream.AccessStream`) constructors."""
 
     def _resolve(self, buffers: Mapping[str, Buffer]) -> Buffer:
         try:
@@ -64,8 +71,8 @@ class LinearPattern(PatternSpec):
     write: bool = False
     repeats: int = 1
 
-    def _build(self, buffer: Buffer, line_size: int) -> AccessStream:
-        return AccessStream.linear(
+    def _build(self, streams, buffer: Buffer, line_size: int) -> AccessStream:
+        return streams.linear(
             buffer,
             write=self.write,
             repeats=self.repeats,
@@ -81,8 +88,8 @@ class SingleAddressPattern(PatternSpec):
     count: int
     write_every: int = 2
 
-    def _build(self, buffer: Buffer, line_size: int) -> AccessStream:
-        return AccessStream.single_address(
+    def _build(self, streams, buffer: Buffer, line_size: int) -> AccessStream:
+        return streams.single_address(
             buffer, count=self.count, write_every=self.write_every
         )
 
@@ -96,8 +103,8 @@ class FractionPattern(PatternSpec):
     repeats: int = 1
     read_write_pairs: bool = True
 
-    def _build(self, buffer: Buffer, line_size: int) -> AccessStream:
-        return AccessStream.fraction(
+    def _build(self, streams, buffer: Buffer, line_size: int) -> AccessStream:
+        return streams.fraction(
             buffer,
             fraction=self.fraction,
             repeats=self.repeats,
@@ -115,8 +122,8 @@ class StridedPattern(PatternSpec):
     write: bool = False
     repeats: int = 1
 
-    def _build(self, buffer: Buffer, line_size: int) -> AccessStream:
-        return AccessStream.strided(
+    def _build(self, streams, buffer: Buffer, line_size: int) -> AccessStream:
+        return streams.strided(
             buffer,
             stride_elements=self.stride_elements,
             write=self.write,
@@ -133,8 +140,8 @@ class SparsePattern(PatternSpec):
     seed: int = 0
     write_fraction: float = 0.5
 
-    def _build(self, buffer: Buffer, line_size: int) -> AccessStream:
-        return AccessStream.sparse(
+    def _build(self, streams, buffer: Buffer, line_size: int) -> AccessStream:
+        return streams.sparse(
             buffer,
             count=self.count,
             line_size=line_size,
@@ -163,7 +170,7 @@ class TiledPattern(PatternSpec):
         if self.parity not in (0, 1):
             raise WorkloadError(f"parity must be 0 or 1, got {self.parity}")
 
-    def _build(self, buffer: Buffer, line_size: int) -> AccessStream:
+    def _build(self, streams, buffer: Buffer, line_size: int) -> AccessStream:
         tile_elements = buffer.num_elements // self.num_tiles
         if tile_elements == 0:
             raise WorkloadError(
@@ -174,7 +181,7 @@ class TiledPattern(PatternSpec):
             for i in range(self.num_tiles)
             if i % 2 == self.parity
         ]
-        return AccessStream.over_ranges(
+        return streams.over_ranges(
             ranges, read_write_pairs=self.read_write_pairs, repeats=self.repeats
         )
 
@@ -191,8 +198,8 @@ class VirtualLinearPattern(PatternSpec):
     read_write_pairs: bool = True
     repeats: int = 1
 
-    def _build(self, buffer: Buffer, line_size: int) -> AccessStream:
-        return AccessStream.virtual_linear(
+    def _build(self, streams, buffer: Buffer, line_size: int) -> AccessStream:
+        return streams.virtual_linear(
             num_elements=buffer.num_elements,
             element_size=buffer.element_size,
             read_write_pairs=self.read_write_pairs,
@@ -209,9 +216,9 @@ class VirtualSparsePattern(PatternSpec):
     repeats: int = 1
     write_fraction: float = 0.5
 
-    def _build(self, buffer: Buffer, line_size: int) -> AccessStream:
+    def _build(self, streams, buffer: Buffer, line_size: int) -> AccessStream:
         count = max(1, int(buffer.num_elements * self.accesses_per_element))
-        return AccessStream.virtual_sparse(
+        return streams.virtual_sparse(
             num_accesses=count,
             footprint_bytes=buffer.size,
             element_size=buffer.element_size,

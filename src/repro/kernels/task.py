@@ -15,13 +15,26 @@ output.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, List, Mapping, Optional, Tuple
 
 from repro.errors import WorkloadError
 from repro.kernels.ops import OpMix
 from repro.kernels.patterns import PatternSpec
 from repro.soc.address import Buffer
-from repro.soc.stream import AccessStream
+
+if TYPE_CHECKING:
+    from repro.soc.stream import AccessStream
+
+
+def _build_streams(task, buffers: Mapping[str, Buffer],
+                   line_size: int) -> List[AccessStream]:
+    patterns = [p for p in (task.pattern, *task.extra_patterns)
+                if p is not None]
+    if not patterns:
+        from repro.soc.stream import AccessStream
+
+        return [AccessStream.empty()]
+    return [p.build(buffers, line_size) for p in patterns]
 
 
 @dataclass(frozen=True)
@@ -41,10 +54,7 @@ class CpuTask:
         self, buffers: Mapping[str, Buffer], line_size: int
     ) -> List[AccessStream]:
         """Materialize the task's access streams, in execution order."""
-        patterns = [p for p in (self.pattern, *self.extra_patterns) if p is not None]
-        if not patterns:
-            return [AccessStream.empty()]
-        return [p.build(buffers, line_size) for p in patterns]
+        return _build_streams(self, buffers, line_size)
 
 
 @dataclass(frozen=True)
@@ -64,7 +74,4 @@ class GpuKernel:
         self, buffers: Mapping[str, Buffer], line_size: int
     ) -> List[AccessStream]:
         """Materialize the kernel's access streams, in execution order."""
-        patterns = [p for p in (self.pattern, *self.extra_patterns) if p is not None]
-        if not patterns:
-            return [AccessStream.empty()]
-        return [p.build(buffers, line_size) for p in patterns]
+        return _build_streams(self, buffers, line_size)

@@ -15,11 +15,15 @@ performance model needs:
 :class:`~repro.model.device.DeviceCharacterization`.
 """
 
-from repro.microbench.base import MicroBenchmark
-from repro.microbench.first import FirstBenchResult, FirstMicroBenchmark
-from repro.microbench.second import SecondBenchResult, SecondMicroBenchmark
-from repro.microbench.third import ThirdBenchResult, ThirdMicroBenchmark
-from repro.microbench.suite import MicrobenchmarkSuite
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.microbench.base": ("MicroBenchmark",),
+    "repro.microbench.first": ("FirstBenchResult", "FirstMicroBenchmark"),
+    "repro.microbench.second": ("SecondBenchResult", "SecondMicroBenchmark"),
+    "repro.microbench.third": ("ThirdBenchResult", "ThirdMicroBenchmark"),
+    "repro.microbench.suite": ("MicrobenchmarkSuite",),
+})
 
 __all__ = [
     "MicroBenchmark",

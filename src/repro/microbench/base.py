@@ -16,9 +16,10 @@ The paper requires four properties of its micro-benchmark code
 from __future__ import annotations
 
 import abc
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from repro.soc.soc import SoC
+if TYPE_CHECKING:
+    from repro.soc.soc import SoC
 
 
 class MicroBenchmark(abc.ABC):

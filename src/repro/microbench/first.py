@@ -18,16 +18,18 @@ columns and the per-task times give Fig. 5's bars.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import TYPE_CHECKING, Dict
 
-from repro.comm.base import get_model
-from repro.comm.report import ExecutionReport
 from repro.kernels.ops import OpMix
 from repro.kernels.patterns import LinearPattern, SingleAddressPattern
 from repro.kernels.task import CpuTask, GpuKernel
 from repro.kernels.workload import BufferSpec, Direction, Workload
 from repro.microbench.base import MicroBenchmark
-from repro.soc.soc import ALL_MODELS, SoC
+from repro.soc.coherence import ALL_MODELS
+
+if TYPE_CHECKING:
+    from repro.comm.report import ExecutionReport
+    from repro.soc.soc import SoC
 
 #: How many times the GPU sweeps the matrix per kernel (steady state).
 GPU_SWEEP_REPEATS = 16
@@ -190,6 +192,8 @@ class FirstMicroBenchmark(MicroBenchmark):
 
     def run(self, soc: SoC) -> FirstBenchResult:
         """Execute under all three models and collect measurements."""
+        from repro.comm.base import get_model
+
         workload = self.build_workload(soc)
         cpu_probe = self.build_cpu_probe(soc)
         measurements: Dict[str, ModelMeasurement] = {}

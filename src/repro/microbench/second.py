@@ -14,16 +14,17 @@ A CPU-side variant of the same sweep extracts ``CPU_Cache_Threshold``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import TYPE_CHECKING, List, Sequence
 
-from repro.comm.base import get_model
 from repro.kernels.ops import OpMix
 from repro.kernels.patterns import FractionPattern
 from repro.kernels.task import CpuTask, GpuKernel
 from repro.kernels.workload import BufferSpec, Direction, Workload
 from repro.microbench.base import MicroBenchmark
 from repro.model.thresholds import SweepPoint, ThresholdAnalysis, analyze_sweep
-from repro.soc.soc import SoC
+
+if TYPE_CHECKING:
+    from repro.soc.soc import SoC
 
 #: The paper's sweep: sections from 1/4000 to 1/2 of the array.
 DEFAULT_FRACTIONS = (
@@ -130,6 +131,8 @@ class SecondMicroBenchmark(MicroBenchmark):
     # ------------------------------------------------------------------
 
     def _sweep_gpu(self, soc: SoC) -> List[SweepPoint]:
+        from repro.comm.base import get_model
+
         points = []
         for fraction in self.fractions:
             workload = self._gpu_workload(fraction)
@@ -147,6 +150,8 @@ class SecondMicroBenchmark(MicroBenchmark):
         return points
 
     def _sweep_cpu(self, soc: SoC) -> List[SweepPoint]:
+        from repro.comm.base import get_model
+
         points = []
         for fraction in self.fractions:
             workload = self._cpu_workload(fraction)

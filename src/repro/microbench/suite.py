@@ -30,12 +30,11 @@ from repro.microbench.second import SecondBenchResult, SecondMicroBenchmark
 from repro.microbench.third import ThirdBenchResult, ThirdMicroBenchmark
 from repro.model.device import DeviceCharacterization
 from repro.profiling.counters import AppProfile
-from repro.profiling.profiler import Profiler
 from repro.resilience.deadline import checkpoint
 from repro.resilience.retry import RetryPolicy
+from repro.robustness.inject import injection_active
 from repro.sim.backend import get_backend
 from repro.soc.board import BoardConfig
-from repro.soc.soc import SoC
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.perf.cache import CharacterizationCache
@@ -101,6 +100,8 @@ class MicrobenchmarkSuite:
         structured ``DEADLINE_EXCEEDED`` between benchmarks instead of
         overshooting the budget.
         """
+        from repro.soc.soc import SoC
+
         with obs.span("microbench.suite", board=board.name,
                       backend=self.backend.name):
             soc = SoC(board, backend=self.backend)
@@ -184,7 +185,9 @@ class MicrobenchmarkSuite:
         crosses an injection scope's boundary: inside one the store is
         neither read nor written, the memo key is paired with the
         active injector (:func:`_scoped`), and with
-        ``memoize_in_scope=False`` nothing is memoized at all.
+        ``memoize_in_scope=False`` nothing is memoized at all.  A
+        finished scope's entries can never answer again, so a scope's
+        store drops every other scope's (:meth:`_forget_other_scopes`).
         """
         memo_key, clean = _scoped(memo_key)
         if not (clean or memoize_in_scope):
@@ -199,8 +202,19 @@ class MicrobenchmarkSuite:
             memo[memo_key] = persisted
             return persisted, "store"
         value = compute(clean)
+        if not clean:
+            self._forget_other_scopes(memo_key[1])
         memo[memo_key] = value
         return value, "computed"
+
+    def _forget_other_scopes(self, injector) -> None:
+        """Drop the memo entries (and raw results) that injection
+        scopes other than ``injector``'s left behind, with their
+        injectors and fault logs."""
+        for memo in (self._cache, self._raw):
+            for key in list(memo):
+                if isinstance(key, tuple) and key[1] is not injector:
+                    memo.pop(key, None)
 
     def characterize(self, board: BoardConfig, force: bool = False,
                      retry_policy: Optional[RetryPolicy] = None
@@ -259,6 +273,9 @@ class MicrobenchmarkSuite:
         signature = self.profile_signature(model)
 
         def simulate(persist: bool) -> AppProfile:
+            from repro.profiling.profiler import Profiler
+            from repro.soc.soc import SoC
+
             soc = SoC(board, backend=self.backend)
             value = Profiler(soc).profile(workload, model=model)
             if persist:
@@ -368,7 +385,6 @@ class MicrobenchmarkSuite:
         their results into both caches.
         """
         from repro.perf.parallel import ParallelRunner
-        from repro.robustness.inject import injection_active
 
         boards = list(boards)
         if injection_active():
@@ -429,6 +445,7 @@ class MicrobenchmarkSuite:
         same values the full sweep would have produced at them.
         """
         from repro.perf.batch import BatchUnsupported, mb2_gpu_points
+        from repro.soc.soc import SoC
 
         bench = SecondMicroBenchmark(
             fractions=tuple(fractions),
@@ -452,8 +469,6 @@ def _scoped(key) -> Tuple[Any, bool]:
     injection; inside a scope, the key paired with the active injector,
     so an answer computed in the scope answers only there and no clean
     entry answers in it."""
-    from repro.robustness.inject import injection_active
-
     injector = injection_active()
     return ((key, injector), False) if injector else (key, True)
 

@@ -17,15 +17,17 @@ From the SC/UM/ZC runtimes the device-level ``SC/ZC_Max_speedup``
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Sequence, Tuple
 
-from repro.comm.base import get_model
 from repro.kernels.ops import OpMix
 from repro.kernels.patterns import VirtualLinearPattern, VirtualSparsePattern
 from repro.kernels.task import CpuTask, GpuKernel
 from repro.kernels.workload import BufferSpec, Direction, Workload
 from repro.microbench.base import MicroBenchmark
-from repro.soc.soc import ALL_MODELS, SoC
+from repro.soc.coherence import ALL_MODELS
+
+if TYPE_CHECKING:
+    from repro.soc.soc import SoC
 
 #: The paper's data set: 2^27 single-precision floats (512 MB).
 DEFAULT_ELEMENTS = 2 ** 27
@@ -138,6 +140,8 @@ class ThirdMicroBenchmark(MicroBenchmark):
 
     def run(self, soc: SoC) -> ThirdBenchResult:
         """Execute under all three models."""
+        from repro.comm.base import get_model
+
         workload = self.build_workload(soc)
         totals: Dict[str, float] = {}
         kernels: Dict[str, float] = {}

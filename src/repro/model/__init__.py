@@ -9,14 +9,17 @@
   device characterization, profiling, and recommendation.
 """
 
-from repro.model.decision import Recommendation, RecommendedModel, Zone, decide
-from repro.model.framework import Framework, TuningReport
-from repro.model.speedup import (
-    sc_to_zc_speedup,
-    zc_to_sc_speedup,
-)
-from repro.model.thresholds import SweepPoint, ThresholdAnalysis, analyze_sweep
-from repro.model.whatif import SweepResult, zc_bandwidth_sweep
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.model.decision": ("Recommendation", "RecommendedModel", "Zone",
+                             "decide"),
+    "repro.model.framework": ("Framework", "TuningReport"),
+    "repro.model.speedup": ("sc_to_zc_speedup", "zc_to_sc_speedup"),
+    "repro.model.thresholds": ("SweepPoint", "ThresholdAnalysis",
+                               "analyze_sweep"),
+    "repro.model.whatif": ("SweepResult", "zc_bandwidth_sweep"),
+})
 
 __all__ = [
     "SweepResult",

@@ -45,7 +45,7 @@ from repro.model.device import DeviceCharacterization
 from repro.profiling.counters import AppProfile
 from repro.profiling.metrics import profile_cpu_cache_usage, profile_gpu_cache_usage
 from repro.soc.board import BoardConfig
-from repro.soc.soc import ALL_MODELS, SoC
+from repro.soc.coherence import ALL_MODELS
 
 
 @dataclass(frozen=True)
@@ -470,6 +470,7 @@ class Framework:
         """Measure the workload under all three models (validation runs,
         Table III / Table V)."""
         from repro.comm.base import get_model
+        from repro.soc.soc import SoC
 
         with obs.span("compare_models", workload=workload.name,
                       board=board.name, backend=self.backend.name):

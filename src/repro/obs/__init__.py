@@ -30,36 +30,20 @@ every instrumentation site into a no-op costing one branch.
 See ``docs/observability.md`` for the full API and workflow.
 """
 
-from repro.obs.export import (
-    chrome_trace,
-    jsonl_lines,
-    load_artifact,
-    load_jsonl,
-    summary,
-    validate_chrome_trace,
-    write_chrome_trace,
-    write_jsonl,
-)
-from repro.obs.metrics import (
-    REGISTRY,
-    MetricsRegistry,
-    counter_inc,
-    gauge_set,
-    observe,
-)
-from repro.obs.report import TuneReport
-from repro.obs.state import disable, enable, enabled
-from repro.obs.trace import (
-    Span,
-    TraceContext,
-    capture,
-    clear,
-    current_context,
-    event,
-    get_spans,
-    merge_spans,
-    span,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.obs.export": ("chrome_trace", "jsonl_lines", "load_artifact",
+                         "load_jsonl", "summary", "validate_chrome_trace",
+                         "write_chrome_trace", "write_jsonl"),
+    "repro.obs.metrics": ("REGISTRY", "MetricsRegistry", "counter_inc",
+                          "gauge_set", "observe"),
+    "repro.obs.report": ("TuneReport",),
+    "repro.obs.state": ("disable", "enable", "enabled"),
+    "repro.obs.trace": ("Span", "TraceContext", "capture", "clear",
+                        "current_context", "event", "get_spans",
+                        "merge_spans", "span"),
+})
 
 __all__ = [
     "REGISTRY",

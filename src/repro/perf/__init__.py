@@ -16,48 +16,26 @@ workflow:
   :class:`~repro.perf.cache.ShardedCharacterizationStore` (key-prefix
   shards, byte-budgeted LRU eviction, per-shard hit/miss metrics).
 
-(:mod:`repro.perf.grid` is imported lazily by the CLI — it pulls in
-the application pipelines and must stay out of this namespace to keep
-the microbench → perf import edge acyclic.)
+(:mod:`repro.perf.grid` is imported by the CLI's ``bench`` command —
+it builds frameworks and must stay out of this namespace to keep the
+microbench → perf import edge acyclic.)
 """
 
-import importlib
+from repro._lazy import lazy_exports
 
-from repro.perf.cache import (
-    CharacterizationCache,
-    ShardedCharacterizationStore,
-    ShardStats,
-    cache_key,
-    characterization_from_dict,
-    characterization_to_dict,
-    default_cache_dir,
-    default_store_budget,
-)
-
-#: Names served on first access (PEP 562): the batch engine and the
-#: process pool (``concurrent.futures.process``) stay unloaded for
-#: callers that only need the store, such as a ``repro tune`` process.
-_LAZY = {
-    "BatchUnsupported": "repro.perf.batch",
-    "mb2_cpu_points": "repro.perf.batch",
-    "mb2_gpu_points": "repro.perf.batch",
-    "vectorized_second_sweep": "repro.perf.batch",
-    "ParallelRunner": "repro.perf.parallel",
-}
-
-
-def __getattr__(name):
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(module), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_LAZY))
-
+#: The batch engine and the process pool (``concurrent.futures.process``)
+#: stay unloaded for callers that only need the store, such as a
+#: ``repro tune`` process.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.perf.batch": ("BatchUnsupported", "mb2_cpu_points",
+                         "mb2_gpu_points", "vectorized_second_sweep"),
+    "repro.perf.cache": ("CharacterizationCache",
+                         "ShardedCharacterizationStore", "ShardStats",
+                         "cache_key", "characterization_from_dict",
+                         "characterization_to_dict", "default_cache_dir",
+                         "default_store_budget"),
+    "repro.perf.parallel": ("ParallelRunner",),
+})
 
 __all__ = [
     "BatchUnsupported",

@@ -53,11 +53,10 @@ import hashlib
 import json
 import os
 import pathlib
+import sys
 import tempfile
 import threading
 from typing import Any, Dict, List, Mapping, Optional, Tuple
-
-import numpy as np
 
 import repro
 from repro import obs
@@ -179,11 +178,17 @@ def _dataclass_layout(cls: type) -> Tuple[str, Tuple[str, ...]]:
             tuple(f.name for f in dataclasses.fields(cls)))
 
 
+#: Leaf types that are their own content.
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
 def _content(value: Any) -> Any:
     """JSON-ready content of a workload: dataclasses are tagged with
     their type (two pattern classes with equal fields differ), arrays
     are their dtype, shape and digest."""
     cls = type(value)
+    if cls in _SCALARS:
+        return value
     if hasattr(cls, "__dataclass_fields__"):
         type_name, names = _dataclass_layout(cls)
         out = {"type": type_name}
@@ -192,16 +197,19 @@ def _content(value: Any) -> Any:
         return out
     if isinstance(value, enum.Enum):
         return _content(value.value)
-    if isinstance(value, np.ndarray):
-        data = np.ascontiguousarray(value)
-        return {"dtype": str(data.dtype), "shape": list(data.shape),
-                "sha256": hashlib.sha256(data.tobytes()).hexdigest()}
-    if isinstance(value, np.generic):
-        return value.item()
     if isinstance(value, Mapping):
         return {str(k): _content(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_content(v) for v in value]
+    # An array or a NumPy scalar exists only once NumPy is loaded, so a
+    # key never imports it.
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(value, np.ndarray):
+        data = np.ascontiguousarray(value)
+        return {"dtype": str(data.dtype), "shape": list(data.shape),
+                "sha256": hashlib.sha256(data.tobytes()).hexdigest()}
+    if np is not None and isinstance(value, np.generic):
+        return value.item()
     return value
 
 

@@ -71,7 +71,7 @@ def _grid_worker(
     cell carries only strings and rebuilds everything locally — a
     surrogate travels as its artifact path, not as an object.
     """
-    from repro.cli import _get_pipeline
+    from repro.apps import build_workload
     from repro.model.framework import Framework
     from repro.soc.board import get_board
 
@@ -83,8 +83,7 @@ def _grid_worker(
 
         surrogate = CharacterizationSurrogate.load(surrogate_path)
     framework = Framework(cache_dir=cache_dir, surrogate=surrogate)
-    pipeline = _get_pipeline(app)
-    workload = pipeline.workload(board_name=board.name)
+    workload = build_workload(app, board_name=board.name)
     report = framework.tune(workload, board, current_model=current_model)
     comparison = framework.compare_models(workload, board)
     sc_time = comparison["SC"].time_per_iteration_s

@@ -11,14 +11,15 @@ extracts the same counters from simulator runs:
 cache-usage metrics (eqns 1-2).
 """
 
-from repro.profiling.counters import AppProfile
-from repro.profiling.metrics import cpu_cache_usage, gpu_cache_usage
-from repro.profiling.profiler import Profiler
-from repro.profiling.trace import (
-    RecordedTrace,
-    TracePattern,
-    workload_from_trace,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.profiling.counters": ("AppProfile",),
+    "repro.profiling.metrics": ("cpu_cache_usage", "gpu_cache_usage"),
+    "repro.profiling.profiler": ("Profiler",),
+    "repro.profiling.trace": ("RecordedTrace", "TracePattern",
+                              "workload_from_trace"),
+})
 
 __all__ = [
     "AppProfile",

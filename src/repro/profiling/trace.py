@@ -474,7 +474,7 @@ class TracePattern(PatternSpec):
     trace: RecordedTrace
     repeats: int = 1
 
-    def _build(self, buffer: Buffer, line_size: int) -> AccessStream:
+    def _build(self, streams, buffer: Buffer, line_size: int) -> AccessStream:
         if self.trace.extent_bytes > buffer.size:
             raise ProfilingError(
                 f"trace extent ({self.trace.extent_bytes} B) exceeds buffer "

@@ -32,19 +32,16 @@ context-variable read or branch, preserving the <2 % disabled-overhead
 budget the obs layer established.
 """
 
-from repro.resilience.breaker import (
-    BreakerRegistry,
-    BreakerState,
-    CircuitBreaker,
-)
-from repro.resilience.deadline import (
-    Deadline,
-    active_deadline,
-    checkpoint,
-    deadline_scope,
-)
-from repro.resilience.retry import RetryPolicy
-from repro.resilience.singleflight import SingleFlight
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.resilience.breaker": ("BreakerRegistry", "BreakerState",
+                                 "CircuitBreaker"),
+    "repro.resilience.deadline": ("Deadline", "active_deadline",
+                                  "checkpoint", "deadline_scope"),
+    "repro.resilience.retry": ("RetryPolicy",),
+    "repro.resilience.singleflight": ("SingleFlight",),
+})
 
 __all__ = [
     "BreakerRegistry",

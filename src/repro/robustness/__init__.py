@@ -23,14 +23,14 @@ Every injected fault is either *caught* by a guard (a structured
 see :mod:`repro.model.decision`).
 """
 
-from repro.robustness.faults import FaultKind, FaultPlan, FaultSpec
-from repro.robustness.guards import SoCGuards, ValidationReport, validate
-from repro.robustness.inject import (
-    FaultInjector,
-    InjectionEvent,
-    inject_faults,
-    injection_active,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.robustness.faults": ("FaultKind", "FaultPlan", "FaultSpec"),
+    "repro.robustness.guards": ("SoCGuards", "ValidationReport", "validate"),
+    "repro.robustness.inject": ("FaultInjector", "InjectionEvent",
+                                "inject_faults", "injection_active"),
+})
 
 __all__ = [
     "FaultKind",

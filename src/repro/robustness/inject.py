@@ -37,20 +37,17 @@ import dataclasses
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro import obs
 from repro.errors import ProfilingError, SimulationError
-from repro.microbench.suite import MicrobenchmarkSuite
 from repro.profiling.counters import AppProfile
-from repro.profiling.profiler import Profiler
 from repro.robustness.faults import (
     COUNTER_TARGETS,
     FaultKind,
     FaultPlan,
     FaultSpec,
 )
-from repro.soc.soc import SoC
 
 #: Only one injector may be active at a time (module-level seam patching).
 _ACTIVE: List["FaultInjector"] = []
@@ -115,7 +112,8 @@ class FaultInjector:
         self.plan = plan
         self.log = InjectionLog()
         self._rng = None
-        self._saved: Dict[str, object] = {}
+        #: ``(owner, attribute, original)`` of every patched seam.
+        self._saved: List[Tuple[type, str, object]] = []
 
     # ------------------------------------------------------------------
     # activation
@@ -142,14 +140,12 @@ class FaultInjector:
                 _ACTIVE.remove(self)
 
     def _patch(self) -> None:
-        self._saved = {
-            "copy_time": SoC._copy_time,
-            "flush_cpu": SoC.flush_cpu_caches,
-            "flush_gpu": SoC.flush_gpu_caches,
-            "from_report": Profiler.__dict__["from_report"],
-            "run_all": MicrobenchmarkSuite.run_all,
-            "profile": Profiler.profile,
-        }
+        # The patch targets load here, not with this module: reading
+        # injection_active() must not import the simulator.
+        from repro.microbench.suite import MicrobenchmarkSuite
+        from repro.profiling.profiler import Profiler
+        from repro.soc.soc import SoC
+
         injector = self
         original_copy_time = SoC._copy_time
         original_flush_cpu = SoC.flush_cpu_caches
@@ -186,23 +182,23 @@ class FaultInjector:
             return original_profile(profiler, workload, model=model,
                                     mode=mode)
 
-        SoC._copy_time = copy_time
-        SoC.flush_cpu_caches = flush_cpu
-        SoC.flush_gpu_caches = flush_gpu
-        Profiler.from_report = staticmethod(from_report)
-        MicrobenchmarkSuite.run_all = run_all
-        Profiler.profile = profile
+        patches = [
+            (SoC, "_copy_time", copy_time),
+            (SoC, "flush_cpu_caches", flush_cpu),
+            (SoC, "flush_gpu_caches", flush_gpu),
+            (Profiler, "from_report", staticmethod(from_report)),
+            (MicrobenchmarkSuite, "run_all", run_all),
+            (Profiler, "profile", profile),
+        ]
+        self._saved = [(owner, name, vars(owner)[name])
+                       for owner, name, _ in patches]
+        for owner, name, replacement in patches:
+            setattr(owner, name, replacement)
 
     def _unpatch(self) -> None:
-        if not self._saved:
-            return
-        SoC._copy_time = self._saved["copy_time"]
-        SoC.flush_cpu_caches = self._saved["flush_cpu"]
-        SoC.flush_gpu_caches = self._saved["flush_gpu"]
-        Profiler.from_report = self._saved["from_report"]
-        MicrobenchmarkSuite.run_all = self._saved["run_all"]
-        Profiler.profile = self._saved["profile"]
-        self._saved = {}
+        for owner, name, original in self._saved:
+            setattr(owner, name, original)
+        self._saved = []
 
     # ------------------------------------------------------------------
     # fault application

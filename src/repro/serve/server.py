@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
+from repro.apps import build_workload
 from repro.errors import ReproError, ServeError
 from repro.model.framework import Framework
 from repro.perf.cache import cache_key
@@ -342,10 +343,7 @@ class TuneServer:
             memo_key = (str(app), batch.key.board)
             workload = self._workloads.get(memo_key)
             if workload is None:
-                from repro.cli import _get_pipeline
-
-                workload = _get_pipeline(app).workload(
-                    board_name=batch.key.board)
+                workload = build_workload(app, board_name=batch.key.board)
                 self._workloads[memo_key] = workload
             job.workload = workload
 

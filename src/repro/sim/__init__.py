@@ -14,14 +14,13 @@ The crosscheck module is imported lazily (it pulls in the framework);
 everything else here is dependency-light.
 """
 
-from repro.sim.backend import (
-    ANALYTIC,
-    AnalyticBackend,
-    SimulatedBackend,
-    TimingBackend,
-    get_backend,
-)
-from repro.sim.config import SimConfig
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.sim.backend": ("ANALYTIC", "AnalyticBackend", "SimulatedBackend",
+                          "TimingBackend", "get_backend"),
+    "repro.sim.config": ("SimConfig",),
+})
 
 __all__ = [
     "ANALYTIC",

@@ -19,19 +19,23 @@ so analytic and simulated entries can never collide.
 
 Layering: this module must not import :mod:`repro.soc.hierarchy` (the
 hierarchy imports us); it talks to hierarchies purely through the
-methods they pass themselves into.
+methods they pass themselves into.  Resolving a backend
+(:func:`get_backend`) imports no NumPy; :meth:`SimulatedBackend.
+synthesize` imports it when it synthesizes a virtual stream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Tuple, Union
 
 from repro.errors import ConfigurationError
 from repro.sim.config import SimConfig
-from repro.soc.stream import AccessStream, PatternKind
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from repro.soc.stream import AccessStream
 
 
 @dataclass(frozen=True)
@@ -97,6 +101,10 @@ class SimulatedBackend(TimingBackend):
         """
         if not stream.is_virtual:
             return stream.addresses, stream.is_write, 1.0
+        import numpy as np
+
+        from repro.soc.stream import PatternKind
+
         n = stream.transactions_per_pass
         tsize = stream.transaction_size
         footprint = max(stream.footprint_bytes or tsize, tsize)

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
+from repro.apps import build_workload
 from repro.errors import ConfigurationError
 from repro.sim.backend import AnalyticBackend, SimulatedBackend
 from repro.sim.config import SimConfig
@@ -187,20 +188,6 @@ class CrosscheckReport:
         return "\n".join(lines)
 
 
-def _build_workload(app: str):
-    if app == "shwfs":
-        from repro.apps.shwfs import build_shwfs_workload
-
-        return build_shwfs_workload()
-    if app == "orbslam":
-        from repro.apps.orbslam import build_orbslam_workload
-
-        return build_orbslam_workload()
-    raise ConfigurationError(
-        f"unknown application {app!r}; available: {DEFAULT_APPS}"
-    )
-
-
 def run_crosscheck(
     boards: Sequence[str] = DEFAULT_BOARDS,
     apps: Sequence[str] = DEFAULT_APPS,
@@ -234,7 +221,7 @@ def run_crosscheck(
                 tunes: Dict[str, object] = {}
                 comparisons: Dict[str, Dict[str, object]] = {}
                 for name, framework in frameworks.items():
-                    workload = _build_workload(app)
+                    workload = build_workload(app)
                     tunes[name] = framework.tune(
                         workload, board, current_model=current_model
                     )

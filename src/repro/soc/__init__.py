@@ -14,19 +14,18 @@ Public entry points:
 - :class:`repro.soc.stream.AccessStream` — memory access traces
 """
 
-from repro.soc.address import AddressSpace, Buffer, MemoryRegion, RegionKind
-from repro.soc.board import (
-    BoardConfig,
-    available_boards,
-    get_board,
-    jetson_nano,
-    jetson_tx2,
-    jetson_xavier,
-)
-from repro.soc.cache import CacheConfig, CacheStats, SetAssociativeCache
-from repro.soc.coherence import CoherenceMode, ZeroCopyBehavior
-from repro.soc.soc import SoC
-from repro.soc.stream import AccessStream
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.soc.address": ("AddressSpace", "Buffer", "MemoryRegion",
+                          "RegionKind"),
+    "repro.soc.board": ("BoardConfig", "available_boards", "get_board",
+                        "jetson_nano", "jetson_tx2", "jetson_xavier"),
+    "repro.soc.cache": ("CacheConfig", "CacheStats", "SetAssociativeCache"),
+    "repro.soc.coherence": ("CoherenceMode", "ZeroCopyBehavior"),
+    "repro.soc.soc": ("SoC",),
+    "repro.soc.stream": ("AccessStream",),
+})
 
 __all__ = [
     "AddressSpace",

@@ -34,17 +34,15 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List
 
 from repro.errors import ConfigurationError
-from repro.soc.cache import CacheConfig
 from repro.soc.coherence import (
     CoherenceMode,
     FlushCostModel,
     PageMigrationModel,
     ZeroCopyBehavior,
 )
-from repro.soc.cpu import CPUConfig
+from repro.soc.config import CacheConfig, CPUConfig, GPUConfig
 from repro.soc.dram import DRAMConfig
 from repro.soc.energy import EnergyConfig
-from repro.soc.gpu import GPUConfig
 from repro.soc.interconnect import InterconnectConfig
 from repro.units import gbps, ghz, kib, mib
 

@@ -19,53 +19,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigurationError
-from repro.units import is_power_of_two
-
-
-@dataclass(frozen=True)
-class CacheConfig:
-    """Geometry and policy of one cache level.
-
-    ``size_bytes`` must equal ``num_sets * ways * line_size`` with a
-    power-of-two number of sets so set selection is a mask.
-    """
-
-    name: str
-    size_bytes: int
-    line_size: int
-    ways: int
-    write_back: bool = True
-    write_allocate: bool = True
-
-    def __post_init__(self) -> None:
-        if self.size_bytes <= 0:
-            raise ConfigurationError(f"{self.name}: size must be positive")
-        if not is_power_of_two(self.line_size):
-            raise ConfigurationError(
-                f"{self.name}: line size must be a power of two, got {self.line_size}"
-            )
-        if self.ways <= 0:
-            raise ConfigurationError(f"{self.name}: ways must be positive")
-        if self.size_bytes % (self.line_size * self.ways):
-            raise ConfigurationError(
-                f"{self.name}: size {self.size_bytes} is not a multiple of "
-                f"line_size*ways = {self.line_size * self.ways}"
-            )
-        if not is_power_of_two(self.num_sets):
-            raise ConfigurationError(
-                f"{self.name}: number of sets must be a power of two, got {self.num_sets}"
-            )
-
-    @property
-    def num_sets(self) -> int:
-        """Number of sets."""
-        return self.size_bytes // (self.line_size * self.ways)
-
-    @property
-    def num_lines(self) -> int:
-        """Total line capacity."""
-        return self.size_bytes // self.line_size
+from repro.soc.config import CacheConfig
 
 
 @dataclass

@@ -26,6 +26,12 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 
+#: Communication-model identifiers used across the package.
+MODEL_SC = "SC"
+MODEL_UM = "UM"
+MODEL_ZC = "ZC"
+ALL_MODELS = (MODEL_SC, MODEL_UM, MODEL_ZC)
+
 
 class CoherenceMode(enum.Enum):
     """How coherence is maintained for a given communication model."""

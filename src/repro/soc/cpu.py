@@ -18,7 +18,6 @@ pay a per-transaction latency — see :meth:`CPUModel.run`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Sequence, Union
 
 import numpy as np
@@ -26,7 +25,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.soc.address import RegionKind
 from repro.soc.analytic import SummaryBatch
-from repro.soc.cache import CacheConfig
+from repro.soc.config import CPUConfig
 from repro.soc.dram import DRAMModel
 from repro.soc.hierarchy import CacheHierarchy, LevelSpec, merge_memory_results
 from repro.soc.phase import (
@@ -47,44 +46,6 @@ def _stream_is_pinned(stream: AccessStream) -> bool:
     worst case.
     """
     return stream.region_kind is None or stream.region_kind is RegionKind.PINNED
-
-
-@dataclass(frozen=True)
-class CPUConfig:
-    """Datasheet-level CPU complex description."""
-
-    name: str
-    frequency_hz: float
-    l1: CacheConfig
-    llc: CacheConfig
-    l1_bandwidth: float
-    llc_bandwidth: float
-    mlp: float = 4.0
-    #: Fraction of *streaming* memory time hidden behind computation
-    #: (out-of-order window + hardware prefetch).  Dependent
-    #: single-address chains hide nothing regardless of this value.
-    memory_hide_factor: float = 0.85
-    flops_per_cycle: float = 8.0
-    #: Sustained instructions per cycle of one core on scalar FP code.
-    #: Differentiates microarchitectures at equal frequency (Cortex-A57
-    #: vs. Denver2 vs. Carmel).
-    ipc: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.frequency_hz <= 0:
-            raise ConfigurationError(f"{self.name}: frequency must be positive")
-        if self.l1_bandwidth <= 0 or self.llc_bandwidth <= 0:
-            raise ConfigurationError(f"{self.name}: cache bandwidths must be positive")
-        if self.mlp < 1:
-            raise ConfigurationError(f"{self.name}: MLP must be >= 1")
-        if not 0.0 <= self.memory_hide_factor <= 1.0:
-            raise ConfigurationError(
-                f"{self.name}: memory_hide_factor must be in [0, 1]"
-            )
-        if self.flops_per_cycle <= 0:
-            raise ConfigurationError(f"{self.name}: flops_per_cycle must be positive")
-        if self.ipc <= 0:
-            raise ConfigurationError(f"{self.name}: ipc must be positive")
 
 
 class CPUModel:

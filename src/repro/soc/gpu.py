@@ -17,7 +17,6 @@ bandwidth is the board's Table-I "Zero Copy" figure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Sequence, Union
 
 import numpy as np
@@ -25,7 +24,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.soc.address import RegionKind
 from repro.soc.analytic import SummaryBatch
-from repro.soc.cache import CacheConfig
+from repro.soc.config import GPUConfig
 from repro.soc.dram import DRAMModel
 from repro.soc.hierarchy import CacheHierarchy, LevelSpec, merge_memory_results
 from repro.soc.phase import (
@@ -41,34 +40,6 @@ def _stream_is_pinned(stream: AccessStream) -> bool:
     """Whether zero-copy treats the stream's pages as uncacheable
     (untagged streams default to pinned — the worst case)."""
     return stream.region_kind is None or stream.region_kind is RegionKind.PINNED
-
-
-@dataclass(frozen=True)
-class GPUConfig:
-    """Datasheet-level iGPU description."""
-
-    name: str
-    frequency_hz: float
-    num_sms: int
-    warp_size: int
-    l1: CacheConfig
-    llc: CacheConfig
-    l1_bandwidth: float
-    llc_bandwidth: float
-    flops_per_cycle_per_sm: float = 128.0
-    kernel_launch_overhead_s: float = 5.0e-6
-
-    def __post_init__(self) -> None:
-        if self.frequency_hz <= 0:
-            raise ConfigurationError(f"{self.name}: frequency must be positive")
-        if self.num_sms <= 0:
-            raise ConfigurationError(f"{self.name}: need at least one SM")
-        if self.warp_size <= 0:
-            raise ConfigurationError(f"{self.name}: warp size must be positive")
-        if self.l1_bandwidth <= 0 or self.llc_bandwidth <= 0:
-            raise ConfigurationError(f"{self.name}: cache bandwidths must be positive")
-        if self.kernel_launch_overhead_s < 0:
-            raise ConfigurationError(f"{self.name}: launch overhead cannot be negative")
 
 
 #: Patterns whose consecutive accesses coalesce perfectly.

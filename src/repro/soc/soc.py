@@ -26,7 +26,7 @@ from repro.sim.backend import get_backend
 from repro.sim.contention import run_contended
 from repro.soc.address import AddressSpace, RegionKind
 from repro.soc.board import BoardConfig
-from repro.soc.coherence import CoherenceMode
+from repro.soc.coherence import ALL_MODELS, MODEL_SC, MODEL_UM, MODEL_ZC
 from repro.soc.cpu import CPUModel
 from repro.soc.dram import DRAMModel
 from repro.soc.energy import EnergyModel
@@ -34,13 +34,6 @@ from repro.soc.events import OverlapJob, OverlapResult, run_overlapped, run_seri
 from repro.soc.gpu import GPUModel
 from repro.soc.phase import PhaseResult
 from repro.soc.stream import AccessStream
-
-#: Communication-model identifiers used across the package.
-MODEL_SC = "SC"
-MODEL_UM = "UM"
-MODEL_ZC = "ZC"
-ALL_MODELS = (MODEL_SC, MODEL_UM, MODEL_ZC)
-
 
 @dataclass(frozen=True)
 class CopyResult:

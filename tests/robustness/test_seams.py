@@ -126,3 +126,15 @@ class TestCharacterizationScope:
         assert injector.log.counts().get("copy-stall")
         assert perturbed is not clean
         assert suite.characterize(board) is clean
+
+    def test_memo_keeps_only_the_latest_scope(self, stall_plan):
+        board = get_board("tx2")
+        suite = MicrobenchmarkSuite()
+        clean = suite.characterize(board)
+        for _ in range(3):
+            with inject_faults(stall_plan) as injector:
+                suite.characterize(board)
+        for memo in (suite._cache, suite._raw):
+            scopes = {key[1] for key in memo if isinstance(key, tuple)}
+            assert scopes == {injector}
+        assert suite.characterize(board) is clean
