@@ -21,6 +21,9 @@ from repro.errors import ConfigurationError
 if TYPE_CHECKING:
     from repro.kernels.workload import Workload
 
+#: The bundled applications, by the name every caller builds them by.
+APPS = ("shwfs", "orbslam")
+
 
 def build_workload(app: str, board_name: str = "") -> Workload:
     """The calibrated simulator workload of bundled ``app`` with the
@@ -44,4 +47,4 @@ def build_workload(app: str, board_name: str = "") -> Workload:
 
         return build_orbslam_workload(OrbWorkloadConfig(board_name=board_name))
     raise ConfigurationError(
-        f"unknown application {app!r}; available: shwfs, orbslam")
+        f"unknown application {app!r}; available: {', '.join(APPS)}")

@@ -22,6 +22,9 @@ code:
 - ``bench [--apps ...] [--boards ...] [--jobs N]`` — run the app ×
   board benchmark grid in parallel and print (or ``--output`` as JSON)
   the tuned recommendation and measured per-model times per cell;
+- ``explore [--base BOARD] [--axis NAME=V1,V2,...]`` — sweep a
+  synthetic board space and print each grid board's thresholds and
+  ``--app`` recommendation (see :mod:`repro.explore`);
 - ``tune <app> <board> [--model SC]`` — run the Fig-2 flow on one of
   the bundled case studies (``shwfs`` or ``orbslam``); ``--trace FILE``
   writes the run's spans as a Chrome/Perfetto trace and
@@ -68,7 +71,7 @@ import sys
 from typing import Callable, Dict, List, Optional
 
 from repro.analysis.tables import Table, paper_speedup_pct
-from repro.apps import build_workload
+from repro.apps import APPS, build_workload
 from repro.errors import ReproError
 from repro.model.framework import Framework
 from repro.soc.board import available_boards, get_board
@@ -84,7 +87,8 @@ def _get_pipeline(app: str):
         from repro.apps.orbslam import OrbPipeline
 
         return OrbPipeline()
-    raise ReproError(f"unknown application {app!r}; available: shwfs, orbslam")
+    raise ReproError(
+        f"unknown application {app!r}; available: {', '.join(APPS)}")
 
 
 def cmd_boards(args: argparse.Namespace) -> str:
@@ -97,28 +101,21 @@ def cmd_boards(args: argparse.Namespace) -> str:
     return table.render()
 
 
-def _surrogate_from_args(args: argparse.Namespace):
-    """The ``--surrogate FILE`` artifact, loaded; None without the flag."""
-    path = getattr(args, "surrogate", None)
-    if not path:
+def _cache_dir_from_args(args: argparse.Namespace) -> Optional[str]:
+    """The store directory the CLI's cache flags select (default: the
+    default store); None under ``--no-cache``."""
+    if getattr(args, "no_cache", False):
         return None
-    from repro.explore.surrogate import CharacterizationSurrogate
+    from repro.perf.cache import default_cache_dir
 
-    return CharacterizationSurrogate.load(path)
+    return str(getattr(args, "cache_dir", None) or default_cache_dir())
 
 
 def _framework_from_args(args: argparse.Namespace) -> Framework:
-    """A framework honouring the CLI's cache flags (default: cached),
-    any ``--surrogate`` artifact, and the ``--backend`` selection."""
-    surrogate = _surrogate_from_args(args)
-    backend = getattr(args, "backend", None)
-    cache_dir = getattr(args, "cache_dir", None)
-    if getattr(args, "no_cache", False):
-        return Framework(surrogate=surrogate, backend=backend)
-    from repro.perf.cache import default_cache_dir
-
-    return Framework(cache_dir=str(cache_dir or default_cache_dir()),
-                     surrogate=surrogate, backend=backend)
+    """A framework honouring the CLI's cache flags and the
+    ``--backend`` selection."""
+    return Framework(cache_dir=_cache_dir_from_args(args),
+                     backend=getattr(args, "backend", None))
 
 
 def cmd_characterize(args: argparse.Namespace) -> str:
@@ -166,10 +163,6 @@ def cmd_tune(args: argparse.Namespace) -> str:
     table.add_row("recommendation", rec.model.value)
     if rec.estimated_speedup_pct is not None:
         table.add_row("estimated speedup (%)", rec.estimated_speedup_pct)
-    if getattr(args, "surrogate", None):
-        table.add_row("device source",
-                      "surrogate (k-point probe)" if report.via_surrogate
-                      else "full characterization (surrogate fell back)")
     text = table.render() + f"\n\nreason: {rec.reason}"
     text += _write_tune_artifacts(args, report)
     return text
@@ -619,19 +612,13 @@ def cmd_bench(args: argparse.Namespace):
 
     from repro.perf.grid import run_grid
 
-    cache_dir = None
-    if not args.no_cache:
-        from repro.perf.cache import default_cache_dir
-
-        cache_dir = str(args.cache_dir or default_cache_dir())
     results = run_grid(
         apps=args.apps,
         boards=args.boards,
         jobs=args.jobs,
         current_model=args.model,
-        cache_dir=cache_dir,
+        cache_dir=_cache_dir_from_args(args),
         parallel=args.jobs != 1,
-        surrogate_path=getattr(args, "surrogate", None),
     )
     if args.output:
         import pathlib
@@ -656,7 +643,8 @@ def cmd_bench(args: argparse.Namespace):
 
 
 def _parse_axis_specs(specs):
-    """``NAME=V1,V2,...`` CLI specs into :class:`Axis` objects."""
+    """``NAME=V1,V2,...`` CLI specs into :class:`Axis` objects; any spec
+    that is not a valid axis fails as ``EXPLORE_BAD_AXIS``."""
     from repro.explore import Axis
 
     axes = []
@@ -674,102 +662,38 @@ def _parse_axis_specs(specs):
                 f"--axis values must be numbers, got {spec!r}",
                 code="EXPLORE_BAD_AXIS", details={"spec": spec},
             )
-        axes.append(Axis(name.strip(), parsed))
+        try:
+            axes.append(Axis(name.strip(), parsed))
+        except ReproError as error:
+            raise ReproError(error.message, code="EXPLORE_BAD_AXIS",
+                             details={"spec": spec})
     return tuple(axes)
 
 
 def cmd_explore(args: argparse.Namespace) -> str:
-    """Sweep a board design space, fit + calibrate the surrogate,
-    check decision agreement, and persist the artifact."""
-    import time
-
-    from repro.explore import BoardSpace, fit_surrogate
-    from repro.microbench.suite import MicrobenchmarkSuite
+    """Sweep a board design space and show, per grid board, the
+    detected thresholds and the ``--app`` recommendation."""
+    from repro.explore import BoardSpace, sweep_space
 
     axes = _parse_axis_specs(args.axis) if args.axis else None
     space = BoardSpace(args.base, axes=axes,
                        coherence=tuple(args.coherence))
-    cache_dir = None
-    if not args.no_cache:
-        from repro.perf.cache import default_cache_dir
-
-        cache_dir = str(args.cache_dir or default_cache_dir())
-    suite = MicrobenchmarkSuite(cache_dir=cache_dir)
-    surrogate, calibration, sweep = fit_surrogate(
-        space, suite, holdout=args.holdout, seed=args.seed,
-        parallel=args.jobs != 1, max_workers=args.jobs,
-    )
-
-    # Decision agreement on the held-out boards: the surrogate-backed
-    # flow must reproduce the full flow's recommendation on every one
-    # (a low-margin or out-of-trust query falls back to the full
-    # characterization, which agrees trivially).
-    fast_framework = Framework(suite=suite, surrogate=surrogate)
-    full_framework = Framework(suite=suite)
-    agreements = 0
-    surrogate_hits = 0
-    holdouts = space.sample(args.holdout, args.seed)
-    for board in holdouts:
-        workload = build_workload(args.app, board_name=board.name)
-        fast = fast_framework.tune(workload, board)
-        full = full_framework.tune(workload, board)
-        surrogate_hits += 1 if fast.via_surrogate else 0
-        agreements += (
-            1 if fast.recommendation.model == full.recommendation.model
-            else 0
-        )
-
-    # Headline speedup: cold full characterization vs the surrogate
-    # answer (probe included), both on fresh suites.
-    target = space.sample(1, args.seed + 1)[0]
-    start = time.perf_counter()
-    MicrobenchmarkSuite().characterize(target)
-    cold_s = time.perf_counter() - start
-    start = time.perf_counter()
-    prediction = surrogate.characterize(target,
-                                        suite=MicrobenchmarkSuite())
-    fast_s = time.perf_counter() - start
-    speedup = cold_s / fast_s if prediction is not None and fast_s > 0 \
-        else None
-
-    surrogate.save(args.out)
-
+    framework = Framework(cache_dir=_cache_dir_from_args(args))
+    sweep = sweep_space(space, framework.suite, parallel=args.jobs != 1,
+                        max_workers=args.jobs)
     table = Table(
-        f"Design-space exploration — {space.describe()}",
-        ["quantity", "value"],
+        f"Design-space sweep — {space.describe()}",
+        ["board", "GPU threshold (%)", "CPU threshold (%)",
+         f"{args.app} recommendation"],
     )
-    table.add_row("swept boards", sweep.num_boards)
-    table.add_row("panels", len(surrogate.panels))
-    table.add_row("holdout boards", args.holdout)
-    table.add_row("decision agreement",
-                  f"{agreements}/{len(holdouts)}")
-    table.add_row("surrogate answers (rest fell back)",
-                  f"{surrogate_hits}/{len(holdouts)}")
-    if speedup is not None:
-        table.add_row("surrogate vs cold characterization",
-                      f"{speedup:.0f}x ({cold_s * 1e3:.1f} ms -> "
-                      f"{fast_s * 1e3:.2f} ms)")
-    else:
-        table.add_row("surrogate vs cold characterization",
-                      f"fell back ({surrogate.last_fallback_reason})")
-    bounds = Table(
-        "Calibrated error bounds (surrogate trusts itself only inside "
-        "these)",
-        ["output", "bound"],
-    )
-    headline = ("gpu_threshold_pct", "gpu_zone2_pct", "cpu_threshold_pct",
-                "gpu_tp_SC", "gpu_tp_ZC", "sc_zc_max_speedup",
-                "zc_sc_max_speedup")
-    for key in headline:
-        if key in surrogate.error_bounds:
-            value = surrogate.error_bounds[key]
-            unit = "pp" if key.endswith("_pct") else "rel"
-            bounds.add_row(key, f"{value:.4f} {unit}")
-    footer = f"\nsurrogate artifact written to {args.out}"
-    if agreements != len(holdouts):
-        footer += ("\nWARNING: decision disagreement on held-out "
-                   "boards — do not ship this artifact")
-    return table.render() + "\n" + bounds.render() + footer
+    for panel in sweep.panels:
+        for board, device in zip(panel.boards, panel.devices):
+            report = framework.tune(
+                build_workload(args.app, board_name=board.name), board)
+            table.add_row(board.name, device.gpu_threshold_pct,
+                          device.cpu_threshold_pct,
+                          report.recommendation.model.value)
+    return table.render()
 
 
 def cmd_report(args: argparse.Namespace) -> str:
@@ -846,12 +770,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "model (default) or the event-driven "
                             "cache/DRAM simulator")
 
-    def add_surrogate_flag(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--surrogate", default=None, metavar="FILE",
-                       help="a `repro explore` artifact: answer boards "
-                            "inside its trusted hull from k probe points "
-                            "instead of a full characterization")
-
     p = sub.add_parser("characterize", help="run the micro-benchmark suite")
     p.add_argument("board", choices=available_boards())
     add_cache_flags(p)
@@ -859,7 +777,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, extra in (("tune", True), ("compare", False)):
         p = sub.add_parser(name, help=f"{name} a bundled application")
-        p.add_argument("app", choices=["shwfs", "orbslam"])
+        p.add_argument("app", choices=APPS)
         p.add_argument("board", choices=available_boards())
         add_backend_flag(p)
         if extra:
@@ -877,7 +795,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 "deadline (structured DEADLINE_EXCEEDED "
                                 "past the budget)")
             add_cache_flags(p)
-            add_surrogate_flag(p)
 
     p = sub.add_parser(
         "cache", help="inspect or clear the store of characterizations "
@@ -892,8 +809,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "bench", help="run the app x board benchmark grid in parallel")
-    p.add_argument("--apps", nargs="+", default=["shwfs", "orbslam"],
-                   choices=["shwfs", "orbslam"])
+    p.add_argument("--apps", nargs="+", default=list(APPS),
+                   choices=APPS)
     p.add_argument("--boards", nargs="+", default=list(available_boards()),
                    choices=available_boards())
     p.add_argument("--jobs", type=int, default=None,
@@ -904,7 +821,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None, metavar="FILE",
                    help="also write the grid results as JSON")
     add_cache_flags(p)
-    add_surrogate_flag(p)
 
     p = sub.add_parser(
         "serve",
@@ -924,7 +840,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: 64, raised to the number of requests "
                         "in the file)")
     add_cache_flags(p)
-    add_surrogate_flag(p)
 
     p = sub.add_parser(
         "stream",
@@ -932,7 +847,7 @@ def build_parser() -> argparse.ArgumentParser:
              "windows, drift detection, hysteresis flips, multi-app "
              "contention")
     p.add_argument("app", nargs="?", default="shwfs",
-                   choices=["shwfs", "orbslam"],
+                   choices=APPS,
                    help="bundled application driving the synthetic "
                         "counter stream (default: shwfs)")
     p.add_argument("board", nargs="?", default="xavier",
@@ -957,11 +872,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stream a recorded access-trace CSV through the "
                         "locality model instead of synthetic counters")
     p.add_argument("--drift-to", default=None,
-                   choices=["shwfs", "orbslam"], metavar="APP",
+                   choices=APPS, metavar="APP",
                    help="switch the counter stream to this app's "
                         "profile halfway through (drift/flip demo)")
     p.add_argument("--contend", action="append", default=[],
-                   choices=["shwfs", "orbslam"], metavar="APP",
+                   choices=APPS, metavar="APP",
                    help="a co-resident app sharing the memory system "
                         "(repeatable): decide every window through the "
                         "contention fixed point")
@@ -971,8 +886,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "explore",
-        help="sweep a synthetic board design space and fit the "
-             "characterization surrogate")
+        help="sweep a synthetic board design space and show how the "
+             "thresholds and the decision move across it")
     p.add_argument("--base", default="tx2", choices=available_boards(),
                    help="preset the space is derived from (default: tx2)")
     p.add_argument("--axis", action="append", default=[],
@@ -985,16 +900,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coherence", nargs="+", default=["inherit"],
                    choices=["inherit", "io_coherent", "caches_disabled"],
                    help="coherence panel(s) to sweep (default: inherit)")
-    p.add_argument("--holdout", type=int, default=4,
-                   help="off-grid boards for error-bound calibration and "
-                        "the agreement check (default: 4)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="holdout sampling seed (deterministic)")
-    p.add_argument("--out", default="surrogate.json", metavar="FILE",
-                   help="where to write the surrogate artifact "
-                        "(default: surrogate.json)")
-    p.add_argument("--app", default="shwfs", choices=["shwfs", "orbslam"],
-                   help="application driving the agreement check")
+    p.add_argument("--app", default="shwfs", choices=APPS,
+                   help="application recommended on each board "
+                        "(default: shwfs)")
     p.add_argument("--jobs", type=int, default=None,
                    help="sweep worker processes (1 forces serial)")
     add_cache_flags(p)
@@ -1007,7 +915,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: this process's live buffers)")
 
     p = sub.add_parser("sweep", help="ZC-path what-if sensitivity sweep")
-    p.add_argument("app", choices=["shwfs", "orbslam"])
+    p.add_argument("app", choices=APPS)
     p.add_argument("board", choices=available_boards())
     p.add_argument("--factors", nargs="+", type=float,
                    default=[0.25, 0.5, 1.0, 2.0, 4.0, 8.0])
@@ -1015,7 +923,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "inject",
         help="run the decision flow under deterministic fault injection")
-    p.add_argument("app", choices=["shwfs", "orbslam"])
+    p.add_argument("app", choices=APPS)
     p.add_argument("board", choices=available_boards())
     p.add_argument("--model", default="SC", choices=["SC", "UM", "ZC"],
                    help="the application's current model")
@@ -1032,7 +940,7 @@ def build_parser() -> argparse.ArgumentParser:
         "validate",
         help="run the runtime invariant guard suite (exit 3 on violations)")
     p.add_argument("board", choices=available_boards())
-    p.add_argument("--app", default="shwfs", choices=["shwfs", "orbslam"])
+    p.add_argument("--app", default="shwfs", choices=APPS)
     p.add_argument("--seed", type=int, default=0,
                    help="fault plan seed for --fault demonstrations")
     p.add_argument("--fault", action="append", default=[],
@@ -1047,8 +955,8 @@ def build_parser() -> argparse.ArgumentParser:
              "(exit 6 on decision disagreement)")
     p.add_argument("--boards", nargs="+", default=list(available_boards()),
                    choices=available_boards())
-    p.add_argument("--apps", nargs="+", default=["shwfs", "orbslam"],
-                   choices=["shwfs", "orbslam"])
+    p.add_argument("--apps", nargs="+", default=list(APPS),
+                   choices=APPS)
     p.add_argument("--tolerance", type=float, default=0.35, metavar="FRAC",
                    help="relative-error tolerance for the timing rows "
                         "(diagnostic; default: 0.35)")
@@ -1067,8 +975,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0,
                    help="soak seed; schedule i is a pure function of "
                         "(seed, i)")
-    p.add_argument("--apps", nargs="+", default=["shwfs", "orbslam"],
-                   choices=["shwfs", "orbslam"])
+    p.add_argument("--apps", nargs="+", default=list(APPS),
+                   choices=APPS)
     p.add_argument("--boards", nargs="+", default=None,
                    choices=available_boards())
     p.add_argument("--deadline-s", type=float, default=None, metavar="S",

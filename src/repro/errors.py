@@ -173,12 +173,11 @@ class ServeError(ReproError):
 
 
 class ExploreError(ReproError):
-    """A design-space sweep or surrogate operation failed structurally.
+    """A design-space sweep failed structurally.
 
-    Raised by :mod:`repro.explore` for unusable artifacts (corrupt or
-    version-mismatched surrogate files, empty sweeps, calibration over
-    boards the surrogate cannot even locate).  A query the surrogate
-    merely *declines* is never an error — that is the fallback path."""
+    Raised by :mod:`repro.explore` when a sweep has no grid boards to
+    characterize.  ``repro explore`` reports an ``--axis`` spec that is
+    not a valid axis as ``EXPLORE_BAD_AXIS``."""
 
     default_code = "EXPLORE_FAILED"
 

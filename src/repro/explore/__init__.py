@@ -1,39 +1,22 @@
-"""Design-space exploration and surrogate-accelerated tuning.
+"""Design-space exploration: how the decision moves across boards.
 
-``repro.explore`` inverts the paper's per-device flow: parameterize
-the board presets into a :class:`BoardSpace`, sweep the grid once
-through the vectorized characterization engine
-(:func:`sweep_space`), and fit a :class:`CharacterizationSurrogate`
-that answers tune queries for *unseen* in-hull boards from a handful
-of MB2 probe points instead of a full MB1–MB3 characterization —
-falling back to the full flow whenever the query leaves the trusted
-hull or the decision margin dips below the calibrated error bounds.
+``repro.explore`` parameterizes a board preset into a
+:class:`BoardSpace` and characterizes every grid board of it in one
+batch (:func:`sweep_space`), so ``repro explore`` can show the
+thresholds and the recommendation at each point of the space.
 
-See ``docs/explore.md`` for the trust model and error-bound
-methodology.
+See ``docs/explore.md``.
 """
 
 from repro.explore.space import (
     AXIS_NAMES,
     Axis,
     BoardSpace,
-    axis_coordinate,
-    base_field_values,
     default_axes,
-    panel_fingerprint,
-)
-from repro.explore.surrogate import (
-    CalibrationReport,
-    CharacterizationSurrogate,
-    Panel,
-    SurrogatePrediction,
-    fit_surrogate,
 )
 from repro.explore.sweep import (
-    PROBE_FRACTIONS,
     PanelSweep,
     SweepResult,
-    device_outputs,
     sweep_space,
 )
 
@@ -41,18 +24,8 @@ __all__ = [
     "AXIS_NAMES",
     "Axis",
     "BoardSpace",
-    "CalibrationReport",
-    "CharacterizationSurrogate",
-    "Panel",
     "PanelSweep",
-    "PROBE_FRACTIONS",
-    "SurrogatePrediction",
     "SweepResult",
-    "axis_coordinate",
-    "base_field_values",
     "default_axes",
-    "device_outputs",
-    "fit_surrogate",
-    "panel_fingerprint",
     "sweep_space",
 ]

@@ -1,36 +1,19 @@
 """``BoardSpace``: a parameterized design space of synthetic boards.
 
-ROADMAP item 1 (the Lumos-style direction): instead of characterizing
-one physical device at a time, parameterize the board presets along the
-axes that dominate the CPU–iGPU communication trade-off — DRAM
-bandwidth, CPU/GPU clock domains, zero-copy path bandwidth, LLC size
-and the coherence mode — and emit a deterministic grid of synthetic
-:class:`~repro.soc.board.BoardConfig` variants for the vectorized
-sweep engine to characterize.
-
-Two identities matter downstream (see :mod:`repro.explore.surrogate`):
-
-- the **panel fingerprint** — a content hash of a board with every
-  axis-scaled field (and the names) masked out.  Boards that differ
-  *only* along the explorer's axes share a fingerprint; a board from a
-  different family (other cache geometry, other IPC, other coherence
-  latencies) never does, so a surrogate can refuse it outright;
-- the **axis coordinates** — per-axis scale factors recovered from the
-  ratios of a query board's fields against the panel base.  Every field
-  an axis moves must agree on the ratio (within ``RATIO_RTOL``) or the
-  board is *not* a point of this space and the surrogate must fall
-  back rather than extrapolate.
+Instead of characterizing one physical device at a time, parameterize
+a board preset along the axes that dominate the CPU–iGPU communication
+trade-off — DRAM bandwidth, CPU/GPU clock domains, zero-copy path
+bandwidth, LLC size and the coherence mode — and emit a deterministic
+grid of synthetic :class:`~repro.soc.board.BoardConfig` variants
+(:func:`~repro.soc.board.derive_board` says which fields each axis
+scales) for :func:`~repro.explore.sweep.sweep_space` to characterize.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
 import itertools
-import json
-import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigurationError
 from repro.soc.board import (
@@ -40,44 +23,11 @@ from repro.soc.board import (
     get_board,
 )
 
-#: Field paths (into ``dataclasses.asdict(board)``) each axis scales.
-#: A query board's coordinate along an axis is the common ratio of
-#: these fields against the panel base — *all* of them must agree.
-AXIS_FIELDS: Dict[str, Tuple[Tuple[str, ...], ...]] = {
-    "dram_bandwidth": (
-        ("dram", "peak_bandwidth"),
-        ("interconnect", "total_bandwidth"),
-    ),
-    "gpu_clock": (
-        ("gpu", "frequency_hz"),
-        ("gpu", "l1_bandwidth"),
-        ("gpu", "llc_bandwidth"),
-    ),
-    "cpu_clock": (
-        ("cpu", "frequency_hz"),
-        ("cpu", "l1_bandwidth"),
-        ("cpu", "llc_bandwidth"),
-    ),
-    "zc_bandwidth": (
-        ("zero_copy", "gpu_zc_bandwidth"),
-        ("zero_copy", "cpu_zc_bandwidth"),
-    ),
-    "llc_size": (
-        ("cpu", "llc", "size_bytes"),
-        ("gpu", "llc", "size_bytes"),
-    ),
-}
-
-#: Every axis name the explorer understands, in canonical order.
-AXIS_NAMES: Tuple[str, ...] = tuple(AXIS_FIELDS)
-
-#: All fields an axis moves must agree on the scale ratio within this
-#: relative tolerance for the board to count as a point of the space.
-RATIO_RTOL = 0.02
-
-#: Axes whose values must be powers of two (cache geometry stays a
-#: mask) — they are sampled from their grid levels, never in between.
-_POWER_OF_TWO_AXES = ("llc_size",)
+#: Every axis name the explorer understands (the scale factors of
+#: :func:`~repro.soc.board.derive_board`), in canonical order.
+AXIS_NAMES: Tuple[str, ...] = (
+    "dram_bandwidth", "gpu_clock", "cpu_clock", "zc_bandwidth", "llc_size",
+)
 
 
 @dataclass(frozen=True)
@@ -85,17 +35,14 @@ class Axis:
     """One swept dimension: an axis name and its grid of scale factors.
 
     Values are multiplicative against the base preset (1.0 = the base
-    itself) and must be positive and strictly increasing; the surrogate
-    interpolates between adjacent values (in log space) and treats
-    anything outside ``[values[0], values[-1]]`` as out of the trusted
-    hull.
+    itself) and must be positive and strictly increasing.
     """
 
     name: str
     values: Tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.name not in AXIS_FIELDS:
+        if self.name not in AXIS_NAMES:
             raise ConfigurationError(
                 f"unknown explorer axis {self.name!r}; available: "
                 f"{', '.join(AXIS_NAMES)}"
@@ -104,8 +51,8 @@ class Axis:
         object.__setattr__(self, "values", values)
         if len(values) < 2:
             raise ConfigurationError(
-                f"axis {self.name!r} needs at least 2 grid values to "
-                f"interpolate, got {len(values)}"
+                f"axis {self.name!r} needs at least 2 grid values, got "
+                f"{len(values)}"
             )
         if any(v <= 0 for v in values):
             raise ConfigurationError(
@@ -138,85 +85,6 @@ def default_axes() -> Tuple[Axis, ...]:
 
 
 # ----------------------------------------------------------------------
-# fingerprints and coordinates
-# ----------------------------------------------------------------------
-
-
-def _dig(tree: Dict, path: Tuple[str, ...]):
-    node = tree
-    for part in path:
-        node = node[part]
-    return node
-
-
-def _mask(tree: Dict, path: Tuple[str, ...], marker: str) -> None:
-    node = tree
-    for part in path[:-1]:
-        node = node[part]
-    node[path[-1]] = marker
-
-
-def panel_fingerprint(board: BoardConfig) -> str:
-    """Content hash of everything the explorer's axes do *not* scale.
-
-    Names and every :data:`AXIS_FIELDS` path are replaced by markers,
-    so two boards share a fingerprint exactly when they could belong to
-    the same panel (same cache geometry modulo LLC size, same IPC, same
-    coherence behaviour, same energy model, …).
-    """
-    tree = dataclasses.asdict(board)
-    tree["name"] = "*"
-    tree["display_name"] = "*"
-    for axis, paths in AXIS_FIELDS.items():
-        for path in paths:
-            _mask(tree, path, f"*{axis}*")
-    blob = json.dumps(tree, sort_keys=True, default=str)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def axis_coordinate(
-    board: BoardConfig,
-    base_fields: Dict[str, float],
-    axis: str,
-    rtol: float = RATIO_RTOL,
-) -> Optional[float]:
-    """The board's scale factor along ``axis``, or ``None``.
-
-    ``base_fields`` maps dotted field paths to the panel base's values.
-    Every field the axis moves must show the *same* ratio (within
-    ``rtol``); disagreement means the board was not built by scaling
-    this base along this axis, and interpolating for it would be a
-    silent extrapolation.
-    """
-    tree = dataclasses.asdict(board)
-    ratios: List[float] = []
-    for path in AXIS_FIELDS[axis]:
-        dotted = ".".join(path)
-        base_value = base_fields.get(dotted)
-        if base_value is None or base_value <= 0:
-            return None
-        ratios.append(float(_dig(tree, path)) / float(base_value))
-    first = ratios[0]
-    if first <= 0:
-        return None
-    for ratio in ratios[1:]:
-        if abs(ratio / first - 1.0) > rtol:
-            return None
-    return first
-
-
-def base_field_values(board: BoardConfig) -> Dict[str, Dict[str, float]]:
-    """Every axis's scaled-field values on ``board`` (the panel base),
-    keyed ``axis -> dotted path -> value`` — the denominators of
-    :func:`axis_coordinate`."""
-    tree = dataclasses.asdict(board)
-    return {
-        axis: {".".join(path): float(_dig(tree, path)) for path in paths}
-        for axis, paths in AXIS_FIELDS.items()
-    }
-
-
-# ----------------------------------------------------------------------
 # the space
 # ----------------------------------------------------------------------
 
@@ -225,9 +93,8 @@ class BoardSpace:
     """A grid of synthetic boards around one base preset.
 
     Deterministic by construction: the grid is the cartesian product of
-    the axis values (per coherence mode), board names encode their
-    coordinates, and :meth:`sample` draws from a seeded PRNG — the same
-    seed always yields the same boards.
+    the axis values (per coherence mode), and board names encode their
+    coordinates.
     """
 
     def __init__(
@@ -291,9 +158,8 @@ class BoardSpace:
     # -- boards --------------------------------------------------------
 
     def grid_points(self) -> List[Tuple[float, ...]]:
-        """Every grid coordinate, in row-major (C) order — the same
-        order :meth:`grid_boards` emits and the surrogate's panel
-        arrays are filled in."""
+        """Every grid coordinate, in row-major (C) order — the order
+        :meth:`grid_boards` emits."""
         return list(itertools.product(*(axis.values for axis in self.axes)))
 
     def board_name(self, point: Sequence[float], coherence: str) -> str:
@@ -321,11 +187,6 @@ class BoardSpace:
             **scales,
         )
 
-    def panel_base(self, coherence: str = "inherit") -> BoardConfig:
-        """The all-ones reference board of one coherence panel."""
-        return derive_board(self.base, name=self.base.name,
-                            coherence=coherence)
-
     def grid_boards(self, coherence: str = "inherit") -> List[BoardConfig]:
         """One coherence panel's full grid, row-major."""
         return [self.board_at(point, coherence)
@@ -337,36 +198,3 @@ class BoardSpace:
         for mode in self.coherence:
             boards.extend(self.grid_boards(mode))
         return boards
-
-    # -- sampling ------------------------------------------------------
-
-    def sample_points(self, n: int, seed: int) -> List[Tuple[float, ...]]:
-        """``n`` deterministic in-hull points (off-grid where legal).
-
-        Continuous axes draw log-uniformly strictly inside their hull;
-        power-of-two axes (cache geometry) draw from their grid levels,
-        since intermediate sizes cannot even be constructed.
-        """
-        import math
-
-        rng = random.Random(seed)
-        points = []
-        for _ in range(n):
-            point = []
-            for axis in self.axes:
-                if axis.name in _POWER_OF_TWO_AXES:
-                    point.append(rng.choice(axis.values))
-                else:
-                    u = rng.uniform(0.02, 0.98)
-                    log_v = (math.log(axis.lo)
-                             + u * (math.log(axis.hi) - math.log(axis.lo)))
-                    point.append(math.exp(log_v))
-            points.append(tuple(point))
-        return points
-
-    def sample(self, n: int, seed: int = 0) -> List[BoardConfig]:
-        """``n`` deterministic in-hull boards (coherence modes cycled)."""
-        return [
-            self.board_at(point, self.coherence[i % len(self.coherence)])
-            for i, point in enumerate(self.sample_points(n, seed))
-        ]

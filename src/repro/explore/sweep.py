@@ -5,16 +5,13 @@ batch path (:meth:`MicrobenchmarkSuite.characterize_many`, which fans
 out over processes and lands results in the configured
 characterization store), then organizes the results into per-coherence
 *panels* — one :class:`DeviceCharacterization` per grid point, in the
-space's row-major order — ready for surface extraction and surrogate
-fitting.
+space's row-major order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from dataclasses import dataclass
+from typing import List, Optional
 
 from repro import obs
 from repro.errors import ExploreError
@@ -23,87 +20,14 @@ from repro.microbench.suite import MicrobenchmarkSuite
 from repro.model.device import DeviceCharacterization
 from repro.soc.board import BoardConfig
 
-#: MB2 sweep fractions the surrogate probes at query time.  Must be a
-#: subset of :data:`repro.microbench.second.DEFAULT_FRACTIONS` so the
-#: expectations recorded from the sweep are measured at *exactly* the
-#: fractions the probe re-measures.
-PROBE_FRACTIONS: Tuple[float, ...] = (1.0 / 1000, 1.0 / 50, 1.0 / 8)
-
-
-def _fraction_key(prefix: str, fraction: float) -> str:
-    return f"{prefix}@{fraction:.6g}"
-
-
-def device_outputs(
-    device: DeviceCharacterization,
-    probe_fractions: Sequence[float] = PROBE_FRACTIONS,
-) -> Dict[str, float]:
-    """Flatten one characterization into the surrogate's output keys.
-
-    ``NaN`` encodes "no second zone on this board" for the zone-2 keys;
-    probe expectations are taken from the stored MB2 sweep points when
-    the sweep sampled the probe fractions (within 1e-9 relative).
-    """
-    gpu = device.gpu_thresholds
-    cpu = device.cpu_thresholds
-    out: Dict[str, float] = {
-        "gpu_threshold_pct": float(gpu.threshold_pct),
-        "gpu_threshold_fraction": float(gpu.threshold_fraction),
-        "gpu_zone2_pct": (float(gpu.zone2_pct)
-                          if gpu.zone2_pct is not None else float("nan")),
-        "gpu_zone2_fraction": (float(gpu.zone2_fraction)
-                               if gpu.zone2_fraction is not None
-                               else float("nan")),
-        "cpu_threshold_pct": float(cpu.threshold_pct),
-        "cpu_threshold_fraction": float(cpu.threshold_fraction),
-        "sc_zc_max_speedup": float(device.sc_zc_max_speedup),
-        "zc_sc_max_speedup": float(device.zc_sc_max_speedup),
-    }
-    for model, value in device.gpu_cache_throughput.items():
-        out[f"gpu_tp_{model}"] = float(value)
-    for model, value in device.cpu_cache_throughput.items():
-        out[f"cpu_tp_{model}"] = float(value)
-    for fraction in probe_fractions:
-        for point in gpu.points:
-            if abs(point.fraction - fraction) <= 1e-9 * max(fraction, 1e-30):
-                out[_fraction_key("probe_zc", fraction)] = \
-                    float(point.zc_throughput)
-                out[_fraction_key("probe_sc", fraction)] = \
-                    float(point.sc_throughput)
-                break
-    return out
-
 
 @dataclass
 class PanelSweep:
     """One coherence mode's swept grid."""
 
     coherence: str
-    base: BoardConfig
     boards: List[BoardConfig]
     devices: List[DeviceCharacterization]
-    probe_fractions: Tuple[float, ...] = PROBE_FRACTIONS
-    _surfaces: Optional[Dict[str, np.ndarray]] = field(
-        default=None, repr=False)
-
-    def surfaces(self, space: BoardSpace) -> Dict[str, np.ndarray]:
-        """Per-output arrays shaped ``space.shape`` (row-major fill).
-
-        Keys present on only part of the grid (e.g. zone-2 thresholds,
-        optional UM throughputs) carry ``NaN`` in the missing cells.
-        """
-        if self._surfaces is not None:
-            return self._surfaces
-        rows = [device_outputs(d, self.probe_fractions)
-                for d in self.devices]
-        keys = sorted({key for row in rows for key in row})
-        surfaces: Dict[str, np.ndarray] = {}
-        for key in keys:
-            flat = np.array([row.get(key, float("nan")) for row in rows],
-                            dtype=float)
-            surfaces[key] = flat.reshape(space.shape)
-        self._surfaces = surfaces
-        return surfaces
 
 
 @dataclass
@@ -146,7 +70,6 @@ def sweep_space(
             lo, hi = i * per_panel, (i + 1) * per_panel
             panels.append(PanelSweep(
                 coherence=mode,
-                base=space.panel_base(mode),
                 boards=boards[lo:hi],
                 devices=devices[lo:hi],
             ))

@@ -5,9 +5,10 @@ characterization consumes all three) and assembles the
 :class:`~repro.model.device.DeviceCharacterization` the decision flow
 needs.  Characterizations are memoized per board value — the paper's
 workflow characterizes a device once and reuses the result across
-applications — and, when a :class:`~repro.perf.cache.CharacterizationCache`
-is attached, persisted on disk across processes under a content hash
-of the board and the suite's parameters.
+applications — and, when a
+:class:`~repro.perf.cache.ShardedCharacterizationStore` is attached,
+persisted on disk across processes under a content hash of the board
+and the suite's parameters.
 
 Application profiles take the same path (:meth:`MicrobenchmarkSuite.
 profile`): the paper profiles an application once and decides from its
@@ -37,7 +38,7 @@ from repro.sim.backend import get_backend
 from repro.soc.board import BoardConfig
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.perf.cache import CharacterizationCache
+    from repro.perf.cache import ShardedCharacterizationStore
 
 #: MB3's paper-scale data set is 2^27 floats; characterization runs use
 #: the same virtual-stream machinery, so the full size is affordable.
@@ -61,7 +62,7 @@ class MicrobenchmarkSuite:
         first: Optional[FirstMicroBenchmark] = None,
         second: Optional[SecondMicroBenchmark] = None,
         third: Optional[ThirdMicroBenchmark] = None,
-        cache: Optional["CharacterizationCache"] = None,
+        cache: Optional["ShardedCharacterizationStore"] = None,
         cache_dir: Optional[str] = None,
         backend=None,
     ) -> None:
@@ -73,9 +74,6 @@ class MicrobenchmarkSuite:
         self.second = second or SecondMicroBenchmark()
         self.third = third or ThirdMicroBenchmark(num_elements=_SUITE_MB3_ELEMENTS)
         if cache is None and cache_dir is not None:
-            # The sharded store is the default persistent backend: same
-            # correctness contract as the flat cache plus LRU budgets,
-            # per-shard metrics and legacy flat-entry migration.
             from repro.perf.cache import ShardedCharacterizationStore
 
             cache = ShardedCharacterizationStore(cache_dir)
@@ -432,36 +430,6 @@ class MicrobenchmarkSuite:
         keyed like the memo: by the frozen board value, not its name,
         and by the injection scope."""
         return self._raw.get(_scoped(board)[0])
-
-    def probe_points(self, board: BoardConfig,
-                     fractions: Sequence[float]) -> List["SweepPoint"]:
-        """MB2's GPU sweep at just ``fractions`` — the surrogate's
-        k-point reality probe (no MB1/MB3, no threshold analysis).
-
-        Runs the batch engine's GPU side when it can serve the board
-        (see :meth:`SecondMicroBenchmark._sweep_vectorized`), else the
-        per-point GPU sweep; each sweep point is an independent
-        ZC-vs-SC measurement, so restricting the fractions yields the
-        same values the full sweep would have produced at them.
-        """
-        from repro.perf.batch import BatchUnsupported, mb2_gpu_points
-        from repro.soc.soc import SoC
-
-        bench = SecondMicroBenchmark(
-            fractions=tuple(fractions),
-            array_bytes=self.second.array_bytes,
-            sweep_repeats=self.second.sweep_repeats,
-        )
-        soc = SoC(board, backend=self.backend)
-        with obs.span("microbench.probe", board=board.name,
-                      points=len(bench.fractions)):
-            try:
-                points = mb2_gpu_points(soc, bench.fractions,
-                                        bench.array_bytes,
-                                        bench.sweep_repeats)
-            except BatchUnsupported:
-                points = bench._sweep_gpu(soc)
-        return list(points)
 
 
 def _scoped(key) -> Tuple[Any, bool]:

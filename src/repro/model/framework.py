@@ -10,11 +10,11 @@ Typical use::
                             current_model="SC")
     print(report.recommendation.model, report.recommendation.estimated_speedup_pct)
 
-Every call runs one stage pipeline — characterize (the surrogate is a
-source for this stage), profile (``retune`` enters with a profile in
-hand), decide — and returns everything, stage timings included, in one
-:class:`TuningReport`.  A framework never changes after construction,
-so one instance is safe to share across threads.
+Every call runs one stage pipeline — characterize, profile
+(``retune`` enters with a profile in hand), decide — and returns
+everything, stage timings included, in one :class:`TuningReport`.  A
+framework never changes after construction, so one instance is safe to
+share across threads.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from repro.resilience.retry import RetryPolicy
 from repro.sim.backend import get_backend
 
 if TYPE_CHECKING:  # avoid a circular import with repro.microbench
-    from repro.explore.surrogate import CharacterizationSurrogate
     from repro.microbench.suite import MicrobenchmarkSuite
 from repro.model.device import DeviceCharacterization
 from repro.profiling.counters import AppProfile
@@ -66,9 +65,6 @@ class TuningReport:
     cpu_cache_usage_pct: float
     gpu_cache_usage_pct: float
     recommendation: Recommendation
-    #: True when ``device`` is a surrogate interpolation (k probe
-    #: points) rather than a full MB1–MB3 characterization.
-    via_surrogate: bool = False
     #: Wall-clock seconds per pipeline stage (monotonic clock).  Not
     #: part of the answer's identity: equal answers compare equal
     #: whatever they cost.
@@ -108,7 +104,6 @@ def _tuning_report(workload_name: str, board_name: str, model: str,
                    profile: Optional[AppProfile],
                    device: Optional[DeviceCharacterization],
                    recommendation: Recommendation, strict: bool = True,
-                   via_surrogate: bool = False,
                    timings_s: Optional[Dict[str, float]] = None
                    ) -> TuningReport:
     """Build a :class:`TuningReport`; the cache usages (eqns 1-2) are
@@ -125,7 +120,6 @@ def _tuning_report(workload_name: str, board_name: str, model: str,
         gpu_cache_usage_pct=_usage_pct(profile_gpu_cache_usage, profile,
                                        gpu_peak, strict=strict),
         recommendation=recommendation,
-        via_surrogate=via_surrogate,
         timings_s={} if timings_s is None else timings_s,
     )
 
@@ -193,7 +187,7 @@ class Framework:
     """Device characterization + profiling + recommendation.
 
     Everything is fixed at construction: the timing ``backend`` (the
-    suite's), the ``surrogate`` and the opt-in resilience settings —
+    suite's) and the opt-in resilience settings —
     ``breakers`` (a :class:`~repro.resilience.breaker.BreakerRegistry`
     around the characterize/profile seams; degraded mode turns
     ``BREAKER_OPEN`` into an instant ``KEEP_CURRENT``) and
@@ -209,7 +203,6 @@ class Framework:
                  cache_dir: Optional[str] = None,
                  breakers: Optional[BreakerRegistry] = None,
                  retry_policy: Optional[RetryPolicy] = None,
-                 surrogate: Optional["CharacterizationSurrogate"] = None,
                  backend=None,
                  ) -> None:
         resolved = get_backend(backend) if backend is not None else None
@@ -237,9 +230,6 @@ class Framework:
         self.backend = suite.backend
         self.breakers = breakers
         self.retry_policy = retry_policy
-        #: Consulted by strict :meth:`tune` calls; it interpolates
-        #: analytic probe points, so a simulated framework has none.
-        self.surrogate = surrogate if self.backend.is_analytic else None
 
     def _guarded(self, seam: str, fn):
         """Run one seam call under its circuit breaker, if enabled."""
@@ -292,7 +282,6 @@ class Framework:
         ``KEEP_CURRENT`` with ``confidence=LOW`` and coded ``caveats``.
         ``deadline_s`` (or an ambient deadline scope) makes the stage
         boundaries cooperative checkpoints, with the same two outcomes.
-        A strict tune asks the surrogate (if any) before characterizing.
         """
         call = _Call("tune", workload.name, board.name,
                      _checked_model(current_model), strict)
@@ -329,16 +318,10 @@ class Framework:
         """characterize → profile → decide, skipping the stages whose
         output the call already holds."""
         start = time.perf_counter()
-        via_surrogate = False
         recommendation = None
         with obs.span(call.kind, workload=call.workload_name,
                       board=call.board_name, model=call.model,
                       strict=call.strict) as span:
-            if (device is None and workload is not None and call.strict
-                    and self.surrogate is not None):
-                checkpoint("tune.characterize", workload=call.workload_name)
-                device, profile = self._via_surrogate(call, workload, board)
-                via_surrogate = device is not None
             if device is None:
                 device = self._stage(call, "characterize", self._characterize,
                                      board, call.strict)
@@ -361,11 +344,11 @@ class Framework:
                 report = _tuning_report(
                     call.workload_name, call.board_name, call.model, profile,
                     device, recommendation, strict=call.strict,
-                    via_surrogate=via_surrogate, timings_s=call.timings)
+                    timings_s=call.timings)
             rec = report.recommendation
             span.set(recommendation=rec.model.value,
                      zone=None if rec.zone is None else int(rec.zone),
-                     degraded=rec.degraded, via_surrogate=via_surrogate)
+                     degraded=rec.degraded)
         obs.counter_inc(f"framework.{call.kind}")
         if rec.degraded:
             obs.counter_inc("framework.tune.degraded")
@@ -395,33 +378,6 @@ class Framework:
                                 f"{error.message}")
             return None
 
-    def _via_surrogate(self, call: _Call, workload: Workload,
-                       board: BoardConfig):
-        """The surrogate as the characterize stage's first source:
-        ``(device, profile)``, the device ``None`` when it refuses (a
-        profile measured for the margin check is handed on)."""
-        surrogate = self.surrogate
-        prediction = _timed("surrogate", call.timings, surrogate.characterize,
-                            board, suite=self.suite)
-        if prediction is None:
-            return None, None
-        profile = self._stage(call, "profile", self.profile, workload, board,
-                              call.model)
-        # A structurally bad profile fails later in the full flow;
-        # here it only withholds trust.
-        try:
-            margin_ok = surrogate.decision_margin_ok(
-                prediction, profile_cpu_cache_usage(profile),
-                profile_gpu_cache_usage(
-                    profile, prediction.device.gpu_peak_throughput))
-        except ReproError:
-            margin_ok = False
-        if not margin_ok:
-            surrogate.record_fallback("low_margin")
-            return None, profile
-        obs.counter_inc("surrogate.hit")
-        return prediction.device, profile
-
     def tune_many(self, workloads: Sequence[Workload], board: BoardConfig,
                   current_model: str = "SC", strict: bool = True,
                   deadline_s: Optional[float] = None) -> List[TuningReport]:
@@ -438,9 +394,7 @@ class Framework:
                 # Best-effort warm-up: each tune absorbs its own failure.
                 with contextlib.suppress(ReproError):
                     self._characterize(board, strict=False)
-            elif self.surrogate is None or not self.surrogate.covers(board):
-                # (inside the surrogate's trust region, probe points
-                # answer each item and a full characterization is waste)
+            else:
                 self.characterize(board)
             deadline = active_deadline()
             reports: List[TuningReport] = []

@@ -43,8 +43,9 @@ from repro.obs import state
 
 R = TypeVar("R")
 
-#: Completed spans kept in memory before the oldest are dropped; a
-#: bound so a long-lived process cannot grow without limit.
+#: Completed spans kept in memory; once the buffer is full each new
+#: span is dropped (and counted), a bound so a long-lived process
+#: cannot grow without limit.
 MAX_SPANS = 100_000
 
 _BUFFER: List["Span"] = []

@@ -10,10 +10,10 @@ workflow:
   graceful serial fallback, used by
   :meth:`~repro.microbench.suite.MicrobenchmarkSuite.characterize_many`
   and the ``repro bench`` grid;
-- :mod:`repro.perf.cache` — a persistent on-disk characterization
-  cache keyed by a content hash of the board, the micro-benchmark
-  parameters and the package version, and its default backend
-  :class:`~repro.perf.cache.ShardedCharacterizationStore` (key-prefix
+- :mod:`repro.perf.cache` — the persistent on-disk store of
+  characterizations and profiles,
+  :class:`~repro.perf.cache.ShardedCharacterizationStore`, keyed by a
+  content hash of the inputs and the package version (key-prefix
   shards, byte-budgeted LRU eviction, per-shard hit/miss metrics).
 
 (:mod:`repro.perf.grid` is imported by the CLI's ``bench`` command —
@@ -29,8 +29,7 @@ from repro._lazy import lazy_exports
 __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.perf.batch": ("BatchUnsupported", "mb2_cpu_points",
                          "mb2_gpu_points", "vectorized_second_sweep"),
-    "repro.perf.cache": ("CharacterizationCache",
-                         "ShardedCharacterizationStore", "ShardStats",
+    "repro.perf.cache": ("ShardedCharacterizationStore", "ShardStats",
                          "cache_key", "characterization_from_dict",
                          "characterization_to_dict", "default_cache_dir",
                          "default_store_budget"),
@@ -42,7 +41,6 @@ __all__ = [
     "mb2_cpu_points",
     "mb2_gpu_points",
     "vectorized_second_sweep",
-    "CharacterizationCache",
     "ShardedCharacterizationStore",
     "ShardStats",
     "cache_key",

@@ -18,27 +18,28 @@ package version:
 Editing a board preset, a workload, a sweep parameter or upgrading the
 package all invalidate the entry automatically.  A model edit that
 keeps the version does not: ``repro cache clear`` (or
-:meth:`CharacterizationCache.clear`) invalidates explicitly.
+:meth:`ShardedCharacterizationStore.clear`) invalidates explicitly.
 
 Entries are written atomically (temp file + ``os.replace``) and any
 unreadable, corrupt or key-mismatched file is treated as a miss, so a
 stale or damaged cache can slow a run down but never change a result.
 The *outcomes* are nonetheless kept distinct — ``hit``, ``miss``
 (absent or re-keyed entry) and ``corrupt`` (unreadable, unparsable or
-structurally broken entry) — recorded in :attr:`CharacterizationCache.
-last_outcome`, counted in the :mod:`repro.obs` metrics registry
-(``perf.cache.hit``/``miss``/``corrupt``) and surfaced per entry by
-``repro cache info`` via :meth:`CharacterizationCache.scan`.
+structurally broken entry) — recorded in
+:attr:`ShardedCharacterizationStore.last_outcome`, counted in the
+:mod:`repro.obs` metrics registry (``perf.cache.hit``/``miss``/
+``corrupt``) and surfaced per entry by ``repro cache info`` via
+:meth:`ShardedCharacterizationStore.scan`.
 
-:class:`ShardedCharacterizationStore` promotes the per-process cache
-to a *shared store* for multi-tenant serving (:mod:`repro.serve`):
-entries are spread over key-prefix shard directories (``shard-XX/``),
+:class:`ShardedCharacterizationStore` is also a *shared store* for
+multi-tenant serving (:mod:`repro.serve`): entries are spread over
+key-prefix shard directories (``shard-XX/``),
 each shard keeps a byte-budgeted LRU index on disk (``_index.json``,
 logical-clock recency, deterministic eviction order), per-shard
 hit/miss and eviction counters flow through :mod:`repro.obs`
 (``perf.store.shard.XX.hit``/``miss``, ``perf.store.evicted``), and
 concurrent cold misses are collapsed by the cross-process single-flight
-the suite already wires around :meth:`CharacterizationCache.load`.
+the suite already wires around :meth:`ShardedCharacterizationStore.load`.
 Legacy flat entries are migrated into their shard on first touch, and
 the LRU index is advisory only — a missing or stale index is rebuilt
 from the directory, never trusted over it.
@@ -248,19 +249,109 @@ def cache_key(board: BoardConfig, signature: Mapping[str, Any],
 
 
 # ----------------------------------------------------------------------
-# the cache
+# the store
 # ----------------------------------------------------------------------
 
 
-class CharacterizationCache:
-    """A directory of store entries: characterizations and profiles."""
+@dataclasses.dataclass(frozen=True)
+class ShardStats:
+    """One shard's on-disk footprint and since-process-start traffic."""
 
-    def __init__(self, directory: Optional[os.PathLike] = None) -> None:
+    name: str
+    entries: int
+    bytes: int
+    quarantined: int
+    hits: int
+    misses: int
+
+    @property
+    def hit_rate(self) -> Optional[float]:
+        """Hits / (hits + misses) since process start; None without
+        traffic."""
+        total = self.hits + self.misses
+        return self.hits / total if total else None
+
+
+def default_store_budget() -> int:
+    """``$REPRO_CACHE_BUDGET_BYTES`` or :data:`DEFAULT_STORE_BUDGET`."""
+    override = os.environ.get(STORE_BUDGET_ENV)
+    if override:
+        try:
+            return max(1, int(override))
+        except ValueError:
+            pass
+    return DEFAULT_STORE_BUDGET
+
+
+class ShardedCharacterizationStore:
+    """A directory of store entries: characterizations and profiles.
+
+    A damaged store is slower, never wrong: every unreadable, corrupt
+    or key-mismatched entry is a miss.  For multi-tenant serving it
+    adds:
+
+    - **key-prefix shards** — entry files live under
+      ``shard-XX/`` chosen by the leading bits of the content hash, so
+      concurrent tenants spread their directory traffic and per-shard
+      stats stay meaningful;
+    - **byte-budgeted LRU** — each shard owns
+      ``max_bytes / num_shards``; storing past the budget evicts the
+      least-recently-used entries (deterministically: by logical
+      recency, ties by name) until the shard fits again.  The newest
+      entry is never evicted, so one oversized characterization cannot
+      thrash;
+    - **on-disk index** — recency survives process restarts via a
+      per-shard ``_index.json`` with a logical clock.  The index is
+      advisory: missing, stale or corrupt indexes are rebuilt from the
+      directory listing and never override what is actually on disk;
+    - **metrics** — ``perf.store.shard.XX.hit``/``miss`` counters,
+      ``perf.store.evicted`` + per-eviction events, on top of the
+      ``perf.cache.*`` load outcomes.
+
+    Stampede protection is unchanged: the suite wires
+    :class:`~repro.resilience.singleflight.SingleFlight` (in-process
+    events + cross-process lock files in :attr:`directory`) around cold
+    misses, so N concurrent tenants characterize once.
+    """
+
+    def __init__(self, directory: Optional[os.PathLike] = None,
+                 num_shards: int = DEFAULT_SHARDS,
+                 max_bytes: Optional[int] = None) -> None:
         self.directory = pathlib.Path(directory) if directory is not None \
             else default_cache_dir()
         #: Outcome of the most recent :meth:`load`:
         #: ``"hit"``, ``"miss"`` or ``"corrupt"`` (``None`` before any).
         self.last_outcome: Optional[str] = None
+        if num_shards < 1:
+            raise ReproError(
+                f"store needs at least one shard, got {num_shards}",
+                code="CACHE_SHARDS_INVALID",
+                details={"num_shards": num_shards},
+            )
+        self.num_shards = int(num_shards)
+        self.max_bytes = int(max_bytes) if max_bytes is not None \
+            else default_store_budget()
+        self._index_lock = threading.Lock()
+        # Hit recency is buffered here (insertion-ordered, re-touch
+        # moves to the end) and folded into the on-disk index by the
+        # next store/evict on the shard: a warm hit costs no disk I/O,
+        # which keeps the characterization_cache fast-path speedup.
+        self._pending_touches: Dict[pathlib.Path, Dict[str, None]] = {}
+
+    # ------------------------------------------------------------------
+    # shard routing
+    # ------------------------------------------------------------------
+
+    def shard_of(self, key: str) -> int:
+        """The shard index owning a content-hash key."""
+        return int(key[:4], 16) % self.num_shards
+
+    @staticmethod
+    def shard_name(shard: int) -> str:
+        return f"shard-{shard:02x}"
+
+    def shard_dir(self, shard: int) -> pathlib.Path:
+        return self.directory / self.shard_name(shard)
 
     @staticmethod
     def _name(board_name: str, key: str, kind: str) -> str:
@@ -269,7 +360,17 @@ class CharacterizationCache:
 
     def _path(self, board_name: str, key: str,
               kind: str = CHARACTERIZATION) -> pathlib.Path:
-        return self.directory / self._name(board_name, key, kind)
+        return self.shard_dir(self.shard_of(key)) / \
+            self._name(board_name, key, kind)
+
+    @property
+    def shard_budget(self) -> int:
+        """Byte budget of one shard."""
+        return max(1, self.max_bytes // self.num_shards)
+
+    # ------------------------------------------------------------------
+    # load/store with LRU accounting (both entry kinds)
+    # ------------------------------------------------------------------
 
     def _outcome(self, outcome: str, path: pathlib.Path,
                  reason: str) -> None:
@@ -312,14 +413,24 @@ class CharacterizationCache:
         Every call records a distinct outcome: ``hit``; ``miss`` for an
         absent or re-keyed (stale-parameters) entry; ``corrupt`` for a
         file that exists but cannot be read, parsed or rebuilt.  All
-        non-hits return ``None`` — a damaged cache can slow a run down
+        non-hits return ``None`` — a damaged store can slow a run down
         but never change a result.
         """
-        return self._load(board.name, cache_key(board, signature, workload),
-                          _kind(workload))
+        kind = _kind(workload)
+        key = cache_key(board, signature, workload)
+        self._migrate_flat(board.name, key, kind)
+        path = self._path(board.name, key, kind)
+        value = self._read(path, key, kind)
+        shard = self.shard_of(key)
+        if value is not None:
+            obs.counter_inc(f"perf.store.shard.{shard:02x}.hit")
+            self._touch(path)
+        else:
+            obs.counter_inc(f"perf.store.shard.{shard:02x}.miss")
+        return value
 
-    def _load(self, board_name: str, key: str, kind: str):
-        path = self._path(board_name, key, kind)
+    def _read(self, path: pathlib.Path, key: str, kind: str):
+        """One entry file's value, or None after recording why not."""
         if not path.exists():
             self._outcome("miss", path, "absent")
             return None
@@ -352,17 +463,14 @@ class CharacterizationCache:
         """Persist one entry atomically (a characterization, or with
         ``workload`` its profile, as in :meth:`load`); returns its
         path."""
-        return self._store(board.name, cache_key(board, signature, workload),
-                           _kind(workload), value)
-
-    def _store(self, board_name: str, key: str, kind: str,
-               value) -> pathlib.Path:
-        path = self._path(board_name, key, kind)
+        kind = _kind(workload)
+        key = cache_key(board, signature, workload)
+        path = self._path(board.name, key, kind)
         field, encode, _ = _CODECS[kind]
         payload = {
             "key": key,
             "kind": kind,
-            "board": board_name,
+            "board": board.name,
             "version": repro.__version__,
             field: encode(value),
         }
@@ -380,228 +488,8 @@ class CharacterizationCache:
             except OSError:
                 pass
             raise
+        self._record_store(path)
         return path
-
-    def _glob(self, suffix: str) -> List[pathlib.Path]:
-        """Matching files in the flat layout *and* any shard subdirs.
-
-        Index files (``_``-prefixed) are bookkeeping, not entries, so
-        they never count; a flat cache pointed at a sharded directory
-        (or vice versa) still sees every entry.
-        """
-        if not self.directory.is_dir():
-            return []
-        found = list(self.directory.glob(f"*.{suffix}"))
-        found.extend(self.directory.glob(f"shard-*/*.{suffix}"))
-        return sorted(p for p in found if not p.name.startswith("_"))
-
-    def entries(self) -> List[pathlib.Path]:
-        """Entry files currently on disk (sorted, all shards)."""
-        return self._glob("json")
-
-    def quarantined(self) -> List[pathlib.Path]:
-        """Corrupt entries moved aside by :meth:`load` (sorted)."""
-        return self._glob("corrupt")
-
-    @staticmethod
-    def classify(path: pathlib.Path) -> Tuple[str, str]:
-        """``("ok"|"corrupt", reason)`` for one entry file of either
-        kind.
-
-        Key staleness cannot be judged without the live inputs, so this
-        checks structural integrity only: readable, valid JSON, the
-        expected envelope of a known kind, and a payload that rebuilds
-        into a :class:`DeviceCharacterization` or an
-        :class:`~repro.profiling.counters.AppProfile`.
-        """
-        status, reason, _ = CharacterizationCache._inspect(path)
-        return status, reason
-
-    @staticmethod
-    def _inspect(path: pathlib.Path) -> Tuple[str, str, Optional[str]]:
-        """:meth:`classify` plus the entry's kind (None if unknown)."""
-        try:
-            data = json.loads(path.read_text())
-        except OSError:
-            return "corrupt", "unreadable", None
-        except ValueError:
-            return "corrupt", "invalid JSON", None
-        if not isinstance(data, dict):
-            return "corrupt", "not a JSON object", None
-        kind = data.get("kind", CHARACTERIZATION)
-        if not isinstance(kind, str) or kind not in _CODECS:
-            return "corrupt", f"unknown kind {kind!r}", None
-        missing = [k for k in ("key", "board", "version", _CODECS[kind][0])
-                   if k not in data]
-        if missing:
-            return ("corrupt",
-                    f"missing field(s): {', '.join(missing)}", kind)
-        try:
-            _decoded(kind, data)
-        except Exception as error:
-            return "corrupt", f"broken payload: {error}", kind
-        return ("ok", f"{kind}, board {data['board']}, "
-                f"version {data['version']}", kind)
-
-    def scan(self) -> List[Tuple[pathlib.Path, str, str]]:
-        """Classify every on-disk entry as ``(path, status, reason)``."""
-        return [(path, *self.classify(path)) for path in self.entries()]
-
-    def clear(self) -> int:
-        """Delete every entry (quarantined files included, all shards);
-        returns how many were removed.  Shard LRU indexes are dropped
-        too so no index survives the entries it described."""
-        removed = 0
-        for path in self.entries() + self.quarantined():
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        if self.directory.is_dir():
-            for index in self.directory.glob(f"shard-*/{INDEX_NAME}"):
-                try:
-                    index.unlink()
-                except OSError:
-                    pass
-        return removed
-
-
-# ----------------------------------------------------------------------
-# the sharded shared store
-# ----------------------------------------------------------------------
-
-
-@dataclasses.dataclass(frozen=True)
-class ShardStats:
-    """One shard's on-disk footprint and since-process-start traffic."""
-
-    name: str
-    entries: int
-    bytes: int
-    quarantined: int
-    hits: int
-    misses: int
-
-    @property
-    def hit_rate(self) -> Optional[float]:
-        """Hits / (hits + misses) since process start; None without
-        traffic."""
-        total = self.hits + self.misses
-        return self.hits / total if total else None
-
-
-def default_store_budget() -> int:
-    """``$REPRO_CACHE_BUDGET_BYTES`` or :data:`DEFAULT_STORE_BUDGET`."""
-    override = os.environ.get(STORE_BUDGET_ENV)
-    if override:
-        try:
-            return max(1, int(override))
-        except ValueError:
-            pass
-    return DEFAULT_STORE_BUDGET
-
-
-class ShardedCharacterizationStore(CharacterizationCache):
-    """A multi-tenant shared store of characterizations and profiles.
-
-    Same correctness contract as :class:`CharacterizationCache` (a
-    damaged store is slower, never wrong) plus the serving-scale
-    behaviours:
-
-    - **key-prefix shards** — entry files live under
-      ``shard-XX/`` chosen by the leading bits of the content hash, so
-      concurrent tenants spread their directory traffic and per-shard
-      stats stay meaningful;
-    - **byte-budgeted LRU** — each shard owns
-      ``max_bytes / num_shards``; storing past the budget evicts the
-      least-recently-used entries (deterministically: by logical
-      recency, ties by name) until the shard fits again.  The newest
-      entry is never evicted, so one oversized characterization cannot
-      thrash;
-    - **on-disk index** — recency survives process restarts via a
-      per-shard ``_index.json`` with a logical clock.  The index is
-      advisory: missing, stale or corrupt indexes are rebuilt from the
-      directory listing and never override what is actually on disk;
-    - **metrics** — ``perf.store.shard.XX.hit``/``miss`` counters,
-      ``perf.store.evicted`` + per-eviction events, on top of the base
-      ``perf.cache.*`` outcomes.
-
-    Stampede protection is unchanged: the suite wires
-    :class:`~repro.resilience.singleflight.SingleFlight` (in-process
-    events + cross-process lock files in :attr:`directory`) around cold
-    misses, so N concurrent tenants characterize once.
-    """
-
-    def __init__(self, directory: Optional[os.PathLike] = None,
-                 num_shards: int = DEFAULT_SHARDS,
-                 max_bytes: Optional[int] = None) -> None:
-        super().__init__(directory)
-        if num_shards < 1:
-            raise ReproError(
-                f"store needs at least one shard, got {num_shards}",
-                code="CACHE_SHARDS_INVALID",
-                details={"num_shards": num_shards},
-            )
-        self.num_shards = int(num_shards)
-        self.max_bytes = int(max_bytes) if max_bytes is not None \
-            else default_store_budget()
-        self._index_lock = threading.Lock()
-        # Hit recency is buffered here (insertion-ordered, re-touch
-        # moves to the end) and folded into the on-disk index by the
-        # next store/evict on the shard: a warm hit costs no disk I/O,
-        # which keeps the characterization_cache fast-path speedup.
-        self._pending_touches: Dict[pathlib.Path, Dict[str, None]] = {}
-
-    # ------------------------------------------------------------------
-    # shard routing
-    # ------------------------------------------------------------------
-
-    def shard_of(self, key: str) -> int:
-        """The shard index owning a content-hash key."""
-        return int(key[:4], 16) % self.num_shards
-
-    @staticmethod
-    def shard_name(shard: int) -> str:
-        return f"shard-{shard:02x}"
-
-    def shard_dir(self, shard: int) -> pathlib.Path:
-        return self.directory / self.shard_name(shard)
-
-    def _path(self, board_name: str, key: str,
-              kind: str = CHARACTERIZATION) -> pathlib.Path:
-        return self.shard_dir(self.shard_of(key)) / \
-            self._name(board_name, key, kind)
-
-    @property
-    def shard_budget(self) -> int:
-        """Byte budget of one shard."""
-        return max(1, self.max_bytes // self.num_shards)
-
-    # ------------------------------------------------------------------
-    # load/store with LRU accounting (both entry kinds)
-    # ------------------------------------------------------------------
-
-    def load(self, board: BoardConfig, signature: Mapping[str, Any],
-             workload: Any = None):
-        kind = _kind(workload)
-        key = cache_key(board, signature, workload)
-        self._migrate_flat(board.name, key, kind)
-        value = self._load(board.name, key, kind)
-        shard = self.shard_of(key)
-        if value is not None:
-            obs.counter_inc(f"perf.store.shard.{shard:02x}.hit")
-            self._touch(self._path(board.name, key, kind))
-        else:
-            obs.counter_inc(f"perf.store.shard.{shard:02x}.miss")
-        return value
-
-    def store(self, board: BoardConfig, signature: Mapping[str, Any],
-              value, workload: Any = None) -> pathlib.Path:
-        stored = self._store(board.name, cache_key(board, signature, workload),
-                             _kind(workload), value)
-        self._record_store(stored)
-        return stored
 
     def _migrate_flat(self, board_name: str, key: str, kind: str) -> None:
         """Adopt a legacy flat-layout entry into its shard (best
@@ -736,6 +624,90 @@ class ShardedCharacterizationStore(CharacterizationCache):
     # ------------------------------------------------------------------
     # introspection (``repro cache info``)
     # ------------------------------------------------------------------
+
+    def _glob(self, suffix: str) -> List[pathlib.Path]:
+        """Matching files in the flat layout *and* any shard subdirs.
+
+        Index files (``_``-prefixed) are bookkeeping, not entries, so
+        they never count; legacy flat entries not yet migrated into
+        their shard still count.
+        """
+        if not self.directory.is_dir():
+            return []
+        found = list(self.directory.glob(f"*.{suffix}"))
+        found.extend(self.directory.glob(f"shard-*/*.{suffix}"))
+        return sorted(p for p in found if not p.name.startswith("_"))
+
+    def entries(self) -> List[pathlib.Path]:
+        """Entry files currently on disk (sorted, all shards)."""
+        return self._glob("json")
+
+    def quarantined(self) -> List[pathlib.Path]:
+        """Corrupt entries moved aside by :meth:`load` (sorted)."""
+        return self._glob("corrupt")
+
+    @staticmethod
+    def classify(path: pathlib.Path) -> Tuple[str, str]:
+        """``("ok"|"corrupt", reason)`` for one entry file of either
+        kind.
+
+        Key staleness cannot be judged without the live inputs, so this
+        checks structural integrity only: readable, valid JSON, the
+        expected envelope of a known kind, and a payload that rebuilds
+        into a :class:`DeviceCharacterization` or an
+        :class:`~repro.profiling.counters.AppProfile`.
+        """
+        status, reason, _ = ShardedCharacterizationStore._inspect(path)
+        return status, reason
+
+    @staticmethod
+    def _inspect(path: pathlib.Path) -> Tuple[str, str, Optional[str]]:
+        """:meth:`classify` plus the entry's kind (None if unknown)."""
+        try:
+            data = json.loads(path.read_text())
+        except OSError:
+            return "corrupt", "unreadable", None
+        except ValueError:
+            return "corrupt", "invalid JSON", None
+        if not isinstance(data, dict):
+            return "corrupt", "not a JSON object", None
+        kind = data.get("kind", CHARACTERIZATION)
+        if not isinstance(kind, str) or kind not in _CODECS:
+            return "corrupt", f"unknown kind {kind!r}", None
+        missing = [k for k in ("key", "board", "version", _CODECS[kind][0])
+                   if k not in data]
+        if missing:
+            return ("corrupt",
+                    f"missing field(s): {', '.join(missing)}", kind)
+        try:
+            _decoded(kind, data)
+        except Exception as error:
+            return "corrupt", f"broken payload: {error}", kind
+        return ("ok", f"{kind}, board {data['board']}, "
+                f"version {data['version']}", kind)
+
+    def scan(self) -> List[Tuple[pathlib.Path, str, str]]:
+        """Classify every on-disk entry as ``(path, status, reason)``."""
+        return [(path, *self.classify(path)) for path in self.entries()]
+
+    def clear(self) -> int:
+        """Delete every entry (quarantined files included, all shards);
+        returns how many were removed.  Shard LRU indexes are dropped
+        too so no index survives the entries it described."""
+        removed = 0
+        for path in self.entries() + self.quarantined():
+            try:
+                path.unlink()
+                removed += 1
+            except OSError:
+                pass
+        if self.directory.is_dir():
+            for index in self.directory.glob(f"shard-*/{INDEX_NAME}"):
+                try:
+                    index.unlink()
+                except OSError:
+                    pass
+        return removed
 
     def shard_stats(self) -> List[ShardStats]:
         """Per-shard footprint + since-process-start hit/miss traffic."""

@@ -11,41 +11,23 @@ parent *pre-warms* every distinct board through the
 out, so each worker's characterization is a store hit (observable in
 the ``perf.store.shard.XX.hit`` counters) instead of a redundant
 suite run racing the other cells.
-
-With a surrogate artifact (``repro bench --surrogate FILE``) the
-pre-warm skips every board the surrogate's trust region covers — those
-cells answer from k probe points in the workers and never need the
-full characterization the warm-up would have paid for.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.perf.parallel import ParallelRunner
 
-if TYPE_CHECKING:
-    from repro.explore.surrogate import CharacterizationSurrogate
 
-#: Applications the grid knows how to build.
-GRID_APPS = ("shwfs", "orbslam")
-
-
-def warm_store(boards: Sequence[str], cache_dir: str,
-               surrogate: Optional["CharacterizationSurrogate"] = None
-               ) -> int:
+def warm_store(boards: Sequence[str], cache_dir: str) -> int:
     """Characterize every distinct board once into the shared store.
 
     Returns how many characterizations were actually computed (a board
-    already resident in the store costs only a load).  Boards inside a
-    given surrogate's trust region are skipped outright — the grid
-    workers will answer them from probe points, so pre-paying the full
-    characterization would waste exactly the work the surrogate saves
-    (counted under ``explore.warm_skip``).  Fault injection disables
-    the persistent layer inside the suite itself, so warming under
-    injection is a harmless no-op cache-wise.
+    already resident in the store costs only a load).  Fault injection
+    disables the persistent layer inside the suite itself, so warming
+    under injection is a harmless no-op cache-wise.
     """
-    from repro import obs
     from repro.microbench.suite import MicrobenchmarkSuite
     from repro.soc.board import get_board
 
@@ -53,36 +35,25 @@ def warm_store(boards: Sequence[str], cache_dir: str,
     computed = 0
     for name in dict.fromkeys(boards):  # de-dup, keep order
         board = get_board(name)
-        if surrogate is not None and surrogate.covers(board):
-            obs.counter_inc("explore.warm_skip")
-            continue
         suite.characterize(board)
         if suite.raw_results(board) is not None:  # the suite actually ran
             computed += 1
     return computed
 
 
-def _grid_worker(
-    cell: Tuple[str, str, str, Optional[str], Optional[str]]
-) -> Dict[str, Any]:
+def _grid_worker(cell: Tuple[str, str, str, Optional[str]]) -> Dict[str, Any]:
     """One grid cell: tune + compare ``app`` on ``board``.
 
     Module-level (picklable) so it can cross the process boundary; the
-    cell carries only strings and rebuilds everything locally — a
-    surrogate travels as its artifact path, not as an object.
+    cell carries only strings and rebuilds everything locally.
     """
     from repro.apps import build_workload
     from repro.model.framework import Framework
     from repro.soc.board import get_board
 
-    app, board_name, current_model, cache_dir, surrogate_path = cell
+    app, board_name, current_model, cache_dir = cell
     board = get_board(board_name)
-    surrogate = None
-    if surrogate_path is not None:
-        from repro.explore.surrogate import CharacterizationSurrogate
-
-        surrogate = CharacterizationSurrogate.load(surrogate_path)
-    framework = Framework(cache_dir=cache_dir, surrogate=surrogate)
+    framework = Framework(cache_dir=cache_dir)
     workload = build_workload(app, board_name=board.name)
     report = framework.tune(workload, board, current_model=current_model)
     comparison = framework.compare_models(workload, board)
@@ -104,7 +75,6 @@ def _grid_worker(
         "zc_vs_sc_pct": (
             100.0 * (sc_time - times["ZC"]) / sc_time if sc_time > 0 else 0.0
         ),
-        "via_surrogate": report.via_surrogate,
     }
 
 
@@ -115,18 +85,12 @@ def run_grid(
     current_model: str = "SC",
     cache_dir: Optional[str] = None,
     parallel: bool = True,
-    surrogate_path: Optional[str] = None,
 ) -> List[Dict[str, Any]]:
     """Run the benchmark grid; results follow the (app, board) order."""
-    surrogate = None
-    if surrogate_path is not None:
-        from repro.explore.surrogate import CharacterizationSurrogate
-
-        surrogate = CharacterizationSurrogate.load(surrogate_path)
     if cache_dir is not None:
-        warm_store(boards, cache_dir, surrogate=surrogate)
+        warm_store(boards, cache_dir)
     cells = [
-        (app, board, current_model, cache_dir, surrogate_path)
+        (app, board, current_model, cache_dir)
         for app in apps
         for board in boards
     ]

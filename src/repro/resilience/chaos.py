@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
+from repro.apps import APPS, build_workload
 from repro.errors import ReproError
 from repro.resilience.breaker import BreakerRegistry
 from repro.resilience.deadline import Deadline, deadline_scope
@@ -226,18 +227,8 @@ class ChaosReport:
         }
 
 
-def _workload(app: str, board_name: str):
-    if app == "shwfs":
-        from repro.apps.shwfs import ShwfsPipeline
-
-        return ShwfsPipeline().workload(board_name=board_name)
-    from repro.apps.orbslam import OrbPipeline
-
-    return OrbPipeline().workload(board_name=board_name)
-
-
 def build_schedule(seed: int, index: int,
-                   apps: Sequence[str] = ("shwfs", "orbslam"),
+                   apps: Sequence[str] = APPS,
                    boards: Optional[Sequence[str]] = None,
                    deadline_s: Optional[float] = None) -> ChaosSchedule:
     """Draw schedule ``index`` of soak ``seed`` (a pure function)."""
@@ -308,7 +299,8 @@ def run_schedule(schedule: ChaosSchedule,
     from repro.soc.board import get_board
 
     board = get_board(schedule.board_name)
-    workloads = [_workload(app, board.name) for app in schedule.apps]
+    workloads = [build_workload(app, board_name=board.name)
+                 for app in schedule.apps]
     clock = LogicalClock(f"repro-chaos-clock:{schedule.seed}:{schedule.index}")
     breakers = (BreakerRegistry(failure_threshold=schedule.breaker_threshold,
                                 clock=clock)
@@ -387,7 +379,7 @@ def _validate_clean(board, workload, outcome: ChaosOutcome) -> None:
 
 
 def run_chaos(schedules: int = 25, seed: int = 0,
-              apps: Sequence[str] = ("shwfs", "orbslam"),
+              apps: Sequence[str] = APPS,
               boards: Optional[Sequence[str]] = None,
               deadline_s: Optional[float] = None,
               validate_guards: bool = True) -> ChaosReport:

@@ -58,10 +58,10 @@ def injection_active() -> Optional["FaultInjector"]:
 
     Only code that computes *around* a patched seam consults this: the
     suite's caches (a cached or memoized answer skips the seams), the
-    MB2 batch engine (closed forms skip the copy and flush seams),
-    process pools (workers escape the patches) and the surrogate (it
-    skips ``run_all``).  Everything else reaches the seams, or none of
-    them, the same way with or without an injector.
+    MB2 batch engine (closed forms skip the copy and flush seams) and
+    process pools (workers escape the patches).  Everything else
+    reaches the seams, or none of them, the same way with or without an
+    injector.
     """
     return _ACTIVE[0] if _ACTIVE else None
 

@@ -25,7 +25,6 @@ the command line.  See ``docs/serving.md``.
 from repro.serve.coalescer import (
     DEFAULT_MAX_BATCH,
     DEFAULT_WINDOW_S,
-    SERVE_APPS,
     BatchKey,
     Coalescer,
     PendingBatch,
@@ -41,7 +40,6 @@ from repro.serve.server import ServeConfig, ServeStats, TuneServer, serve_all
 __all__ = [
     "DEFAULT_MAX_BATCH",
     "DEFAULT_WINDOW_S",
-    "SERVE_APPS",
     "BatchKey",
     "Coalescer",
     "PendingBatch",

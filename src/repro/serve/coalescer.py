@@ -33,6 +33,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.apps import APPS
 from repro.errors import ServeError
 from repro.kernels.workload import Workload
 from repro.model.framework import TuningReport, conservative_report
@@ -44,11 +45,6 @@ DEFAULT_WINDOW_S = 0.005
 
 #: Default size window: a full batch dispatches without waiting.
 DEFAULT_MAX_BATCH = 16
-
-#: Bundled applications a request may name instead of carrying a
-#: :class:`~repro.kernels.workload.Workload`.
-SERVE_APPS = ("shwfs", "orbslam")
-
 
 @dataclass(frozen=True)
 class TuneRequest:
@@ -97,10 +93,10 @@ class TuneRequest:
                 details={"profile_board": self.profile.board_name,
                          "board": self.board},
             )
-        if self.app is not None and self.app not in SERVE_APPS:
+        if self.app is not None and self.app not in APPS:
             raise ServeError(
                 f"unknown application {self.app!r}; available: "
-                + ", ".join(SERVE_APPS),
+                + ", ".join(APPS),
                 code="SERVE_BAD_REQUEST",
                 details={"app": self.app},
             )

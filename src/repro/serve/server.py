@@ -114,8 +114,7 @@ class TuneServer:
     def __init__(self, framework: Optional[Framework] = None,
                  config: Optional[ServeConfig] = None) -> None:
         #: Shared by the dispatch threads; a framework never changes
-        #: after construction.  Its surrogate (if any) answers strict
-        #: batches on boards inside a known swept space.
+        #: after construction.
         self.framework = framework if framework is not None else Framework()
         self.config = (config or ServeConfig()).validated()
         self.stats = ServeStats()

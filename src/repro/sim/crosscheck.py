@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.apps import build_workload
+from repro.apps import APPS, build_workload
 from repro.errors import ConfigurationError
 from repro.sim.backend import AnalyticBackend, SimulatedBackend
 from repro.sim.config import SimConfig
@@ -36,9 +36,9 @@ from repro.sim.config import SimConfig
 #: more than this.
 DEFAULT_TOLERANCE = 0.35
 
-#: The paper's evaluation grid (Tables II–V).
+#: The paper's evaluation boards (Tables II–V); its apps are
+#: :data:`repro.apps.APPS`.
 DEFAULT_BOARDS = ("nano", "tx2", "xavier")
-DEFAULT_APPS = ("shwfs", "orbslam")
 
 #: The timing components compared per communication model.
 _TIMING_FIELDS = (
@@ -190,7 +190,7 @@ class CrosscheckReport:
 
 def run_crosscheck(
     boards: Sequence[str] = DEFAULT_BOARDS,
-    apps: Sequence[str] = DEFAULT_APPS,
+    apps: Sequence[str] = APPS,
     tolerance: float = DEFAULT_TOLERANCE,
     sim_config: Optional[SimConfig] = None,
     current_model: str = "SC",

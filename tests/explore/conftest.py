@@ -1,15 +1,10 @@
-"""Shared fixtures for the design-space explorer tests.
-
-Fitting a surrogate sweeps a 3x3 grid plus holdout boards, so the fitted
-surrogate is session-scoped and shared by every test that only reads it.
-"""
+"""Shared fixtures for the design-space explorer tests."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.explore import Axis, BoardSpace, fit_surrogate
-from repro.microbench.suite import MicrobenchmarkSuite
+from repro.explore import Axis, BoardSpace
 
 
 @pytest.fixture(scope="session")
@@ -22,15 +17,3 @@ def tx2_space() -> BoardSpace:
             Axis("zc_bandwidth", (0.5, 1.0, 2.0)),
         ),
     )
-
-
-@pytest.fixture(scope="session")
-def fitted(tx2_space):
-    """(surrogate, calibration report, sweep) fitted over ``tx2_space``."""
-    suite = MicrobenchmarkSuite()
-    return fit_surrogate(tx2_space, suite=suite, holdout=2, seed=7)
-
-
-@pytest.fixture(scope="session")
-def surrogate(fitted):
-    return fitted[0]

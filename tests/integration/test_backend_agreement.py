@@ -11,11 +11,8 @@ against a tolerance), decisions may not.
 
 import pytest
 
-from repro.sim.crosscheck import (
-    DEFAULT_APPS,
-    DEFAULT_BOARDS,
-    run_crosscheck,
-)
+from repro.apps import APPS
+from repro.sim.crosscheck import DEFAULT_BOARDS, run_crosscheck
 
 #: The verified paper decisions ((app, board) -> (model, zone)), from
 #: the analytic reproduction of Tables II-V.
@@ -31,13 +28,13 @@ EXPECTED_DECISIONS = {
 
 @pytest.fixture(scope="module")
 def report():
-    return run_crosscheck(boards=DEFAULT_BOARDS, apps=DEFAULT_APPS)
+    return run_crosscheck(boards=DEFAULT_BOARDS, apps=APPS)
 
 
 def test_full_grid_covered(report):
     cells = {(d.app, d.board) for d in report.decisions}
     assert cells == {
-        (app, board) for app in DEFAULT_APPS for board in DEFAULT_BOARDS
+        (app, board) for app in APPS for board in DEFAULT_BOARDS
     }
 
 

@@ -6,7 +6,7 @@ from repro.cli import main
 from repro.microbench.suite import MicrobenchmarkSuite
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import get_spans
-from repro.perf.cache import CharacterizationCache, ShardedCharacterizationStore
+from repro.perf.cache import ShardedCharacterizationStore
 from repro.soc.board import get_board
 
 
@@ -32,7 +32,7 @@ class TestOutcomes:
         assert _counter("perf.cache.hit") >= 1
 
     def test_absent_entry_is_a_miss(self, tmp_path):
-        cache = CharacterizationCache(tmp_path / "empty")
+        cache = ShardedCharacterizationStore(tmp_path / "empty")
         board = get_board("tx2")
         assert cache.load(board, {"k": 1}) is None
         assert cache.last_outcome == "miss"
@@ -79,7 +79,7 @@ class TestScan:
         assert sorted(statuses.values()) == ["corrupt", "ok"]
 
     def test_scan_empty_directory(self, tmp_path):
-        assert CharacterizationCache(tmp_path / "nothing").scan() == []
+        assert ShardedCharacterizationStore(tmp_path / "nothing").scan() == []
 
 
 class TestCli:

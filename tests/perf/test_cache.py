@@ -1,4 +1,4 @@
-"""Persistent characterization cache: hits, misses, invalidation."""
+"""Persistent store of characterizations: hits, misses, invalidation."""
 
 import dataclasses
 import json
@@ -9,7 +9,7 @@ import pytest
 
 from repro.microbench.suite import MicrobenchmarkSuite
 from repro.perf.cache import (
-    CharacterizationCache,
+    ShardedCharacterizationStore,
     cache_key,
     characterization_from_dict,
     characterization_to_dict,
@@ -43,7 +43,7 @@ class TestRoundTrip:
 
     def test_store_then_load(self, tx2_characterization, tmp_path):
         suite, device = tx2_characterization
-        cache = CharacterizationCache(tmp_path)
+        cache = ShardedCharacterizationStore(tmp_path)
         board = get_board("tx2")
         path = cache.store(board, _signature(suite), device)
         assert path.exists()
@@ -54,23 +54,24 @@ class TestRoundTrip:
 
     def test_store_is_atomic(self, tx2_characterization, tmp_path):
         suite, device = tx2_characterization
-        cache = CharacterizationCache(tmp_path)
-        cache.store(get_board("tx2"), _signature(suite), device)
+        cache = ShardedCharacterizationStore(tmp_path)
+        path = cache.store(get_board("tx2"), _signature(suite), device)
         # No stray temp files survive a successful store.
-        assert [p.suffix for p in tmp_path.iterdir()] == [".json"]
+        assert path.exists()
+        assert list(tmp_path.rglob("*.tmp")) == []
 
 
 class TestInvalidation:
     def test_miss_on_different_board(self, tx2_characterization, tmp_path):
         suite, device = tx2_characterization
-        cache = CharacterizationCache(tmp_path)
+        cache = ShardedCharacterizationStore(tmp_path)
         cache.store(get_board("tx2"), _signature(suite), device)
         assert cache.load(get_board("nano"), _signature(suite)) is None
 
     def test_miss_on_board_parameter_change(self, tx2_characterization,
                                             tmp_path):
         suite, device = tx2_characterization
-        cache = CharacterizationCache(tmp_path)
+        cache = ShardedCharacterizationStore(tmp_path)
         board = get_board("tx2")
         cache.store(board, _signature(suite), device)
         tweaked = dataclasses.replace(
@@ -83,7 +84,7 @@ class TestInvalidation:
 
     def test_miss_on_signature_change(self, tx2_characterization, tmp_path):
         suite, device = tx2_characterization
-        cache = CharacterizationCache(tmp_path)
+        cache = ShardedCharacterizationStore(tmp_path)
         board = get_board("tx2")
         cache.store(board, _signature(suite), device)
         changed = _signature(suite)
@@ -101,7 +102,7 @@ class TestInvalidation:
 
     def test_corrupt_entry_is_a_miss(self, tx2_characterization, tmp_path):
         suite, device = tx2_characterization
-        cache = CharacterizationCache(tmp_path)
+        cache = ShardedCharacterizationStore(tmp_path)
         board = get_board("tx2")
         path = cache.store(board, _signature(suite), device)
         path.write_text("{not json")
@@ -109,7 +110,7 @@ class TestInvalidation:
 
     def test_key_mismatch_is_a_miss(self, tx2_characterization, tmp_path):
         suite, device = tx2_characterization
-        cache = CharacterizationCache(tmp_path)
+        cache = ShardedCharacterizationStore(tmp_path)
         board = get_board("tx2")
         path = cache.store(board, _signature(suite), device)
         data = json.loads(path.read_text())
@@ -119,7 +120,7 @@ class TestInvalidation:
 
     def test_clear(self, tx2_characterization, tmp_path):
         suite, device = tx2_characterization
-        cache = CharacterizationCache(tmp_path)
+        cache = ShardedCharacterizationStore(tmp_path)
         cache.store(get_board("tx2"), _signature(suite), device)
         cache.store(get_board("nano"), _signature(suite), device)
         assert len(cache.entries()) == 2
@@ -131,7 +132,7 @@ class TestInvalidation:
 class TestQuarantine:
     def _corrupt_entry(self, tx2_characterization, tmp_path):
         suite, device = tx2_characterization
-        cache = CharacterizationCache(tmp_path)
+        cache = ShardedCharacterizationStore(tmp_path)
         board = get_board("tx2")
         path = cache.store(board, _signature(suite), device)
         path.write_text("{not json")
@@ -172,7 +173,7 @@ class TestQuarantine:
                                              tmp_path):
         # A stale key is a miss, not corruption: the file stays put.
         suite, device = tx2_characterization
-        cache = CharacterizationCache(tmp_path)
+        cache = ShardedCharacterizationStore(tmp_path)
         board = get_board("tx2")
         path = cache.store(board, _signature(suite), device)
         data = json.loads(path.read_text())
@@ -208,7 +209,7 @@ class TestSuiteIntegration:
         board = get_board("tx2")
         warm = MicrobenchmarkSuite(cache_dir=str(tmp_path))
         first = warm.characterize(board)
-        assert len(CharacterizationCache(tmp_path).entries()) == 1
+        assert len(ShardedCharacterizationStore(tmp_path).entries()) == 1
 
         cold = MicrobenchmarkSuite(cache_dir=str(tmp_path))
 
@@ -224,7 +225,7 @@ class TestSuiteIntegration:
         board = get_board("tx2")
         suite = MicrobenchmarkSuite(cache_dir=str(tmp_path))
         suite.characterize(board)
-        entry = CharacterizationCache(tmp_path).entries()[0]
+        entry = ShardedCharacterizationStore(tmp_path).entries()[0]
         before = entry.stat().st_mtime_ns
         suite.characterize(board, force=True)
         assert entry.stat().st_mtime_ns >= before
@@ -239,10 +240,10 @@ class TestSuiteIntegration:
         load = fresh.cache.load
         fresh.cache.load = lambda *args: loads.append(args) or load(*args)
         with inject_faults(FaultPlan(seed=0)):
-            entries_before = CharacterizationCache(tmp_path).entries()
+            entries_before = ShardedCharacterizationStore(tmp_path).entries()
             fresh.characterize(board)  # recomputes under the injector
             assert loads == []  # the store is not read in the scope
-            assert CharacterizationCache(tmp_path).entries() == entries_before
+            assert ShardedCharacterizationStore(tmp_path).entries() == entries_before
         # Outside the injector the persisted entry is visible again.
         assert fresh._persistent_load(board) is not None
 

@@ -2,8 +2,8 @@
 
 Eviction must be a *pure function of the access history* — a fixed
 insertion order always evicts the same entries — and the store must
-interoperate with the flat-layout cache it replaced (legacy entries
-migrate on first touch, the base-class view stays shard-aware).
+keep the entries of the flat layout it replaced (legacy entries
+migrate on first touch and are listed until then).
 """
 
 import dataclasses
@@ -12,13 +12,14 @@ import multiprocessing
 
 import pytest
 
+import repro
 from repro import obs
 from repro.errors import ReproError
 from repro.microbench.suite import MicrobenchmarkSuite
 from repro.perf.cache import (
-    CharacterizationCache,
     ShardedCharacterizationStore,
     cache_key,
+    characterization_to_dict,
 )
 from repro.soc.board import get_board
 
@@ -34,6 +35,21 @@ def _boards(count, prefix="board"):
     base = get_board("tx2")
     return [dataclasses.replace(base, name=f"{prefix}-{i:02d}")
             for i in range(count)]
+
+
+def _write_flat_entry(directory, board, signature, device):
+    """A characterization entry as the pre-shard flat layout wrote it:
+    ``<board>-<key prefix>.json`` at the top of the store directory."""
+    key = cache_key(board, signature)
+    path = directory / f"{board.name}-{key[:16]}.json"
+    path.write_text(json.dumps({
+        "key": key,
+        "kind": "characterization",
+        "board": board.name,
+        "version": repro.__version__,
+        "device": characterization_to_dict(device),
+    }, indent=2, sort_keys=True))
+    return path
 
 
 def _entry_size(tmp_path, signature, device):
@@ -63,17 +79,20 @@ class TestShardRouting:
         signature, device = characterized
         store = ShardedCharacterizationStore(tmp_path)
         store.store(get_board("tx2"), signature, device)
-        flat = CharacterizationCache(tmp_path)
-        assert len(flat.entries()) == 1
+        store.store(get_board("nano"), signature, device)
+        legacy = _write_flat_entry(tmp_path, get_board("xavier"), signature,
+                                   device)
+        entries = ShardedCharacterizationStore(tmp_path).entries()
+        assert len(entries) == 3
+        assert legacy in entries
         # ...but never the private index files
-        assert all("_index" not in path.name for path in flat.entries())
+        assert all("_index" not in path.name for path in entries)
 
     def test_legacy_flat_entry_migrates_on_load(self, tmp_path,
                                                 characterized):
         signature, device = characterized
-        flat = CharacterizationCache(tmp_path)
-        flat_path = flat.store(get_board("tx2"), signature, device)
-        assert flat_path.parent == tmp_path
+        flat_path = _write_flat_entry(tmp_path, get_board("tx2"), signature,
+                                      device)
 
         store = ShardedCharacterizationStore(tmp_path)
         assert store.load(get_board("tx2"), signature) is not None
@@ -347,6 +366,11 @@ class TestStampedeProtection:
 
 
 class TestGridReuse:
+    def test_warm_store_computes_every_cold_board(self, tmp_path):
+        from repro.perf.grid import warm_store
+
+        assert warm_store(["tx2", "nano", "tx2"], str(tmp_path)) == 2
+
     def test_grid_cells_hit_the_warm_store(self, tmp_path, monkeypatch):
         from repro.perf.grid import run_grid, warm_store
 

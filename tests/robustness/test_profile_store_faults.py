@@ -9,7 +9,7 @@ persisted.
 import pytest
 
 from repro.model.framework import Framework
-from repro.perf.cache import CharacterizationCache
+from repro.perf.cache import ShardedCharacterizationStore
 from repro.robustness.faults import FaultPlan
 from repro.robustness.inject import inject_faults
 from repro.soc.board import get_board
@@ -17,7 +17,7 @@ from repro.soc.board import get_board
 
 def _entries(directory):
     return {path.name: path.read_bytes()
-            for path in CharacterizationCache(directory).entries()}
+            for path in ShardedCharacterizationStore(directory).entries()}
 
 
 @pytest.mark.fault

@@ -1,8 +1,8 @@
 """Fault injection stays at its seams.
 
 The injector patches a fixed set of methods.  Only code that computes
-*around* one of them (the suite's caches, the MB2 batch engine, process
-pools, the surrogate) may consult ``injection_active()``; every other
+*around* one of them (the suite's caches and process pools, the MB2
+batch engine) may consult ``injection_active()``; every other
 path reaches the seams, or none of them, the same way with or without
 an injector.  These tests keep both lists from growing silently, and
 pin the suite's cache rule: nothing computed inside an injection scope
@@ -35,8 +35,7 @@ SEAMS = {
 }
 
 #: Modules outside ``robustness/`` that may consult ``injection_active``.
-INJECTION_AWARE = {"microbench/suite.py", "perf/batch.py",
-                   "explore/surrogate.py"}
+INJECTION_AWARE = {"microbench/suite.py", "perf/batch.py"}
 
 
 def _modules():

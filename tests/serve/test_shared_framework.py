@@ -173,7 +173,7 @@ def test_concurrent_profile_misses_agree(tmp_path, warm):
     """Threads racing on cold profile cells of one framework (memo and
     store both empty) get the serial answers, and the store ends with
     one sound profile entry per cell."""
-    from repro.perf.cache import CharacterizationCache
+    from repro.perf.cache import ShardedCharacterizationStore
 
     framework = Framework(cache_dir=str(tmp_path))
     jobs = [(app, board, model) for app, board in CELLS
@@ -194,7 +194,7 @@ def test_concurrent_profile_misses_agree(tmp_path, warm):
     for (app, board, model), report in zip(jobs * 2, results):
         assert report == warm.tune(workload(app, board), get_board(board),
                                    current_model=model)
-    scanned = CharacterizationCache(tmp_path).scan()
+    scanned = ShardedCharacterizationStore(tmp_path).scan()
     profiles = [reason for _, status, reason in scanned
                 if status == "ok" and reason.startswith("profile")]
     assert len(profiles) == len(jobs)
