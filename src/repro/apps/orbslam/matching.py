@@ -33,7 +33,8 @@ _HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
 
 
 def _popcount64(words: np.ndarray) -> np.ndarray:
-    """Per-word population count (SWAR when the ufunc is missing)."""
+    """Per-word population count as ``uint8`` (SWAR when the ufunc is
+    missing)."""
     if _HAS_BITWISE_COUNT:
         return np.bitwise_count(words)
     x = words - ((words >> np.uint64(1)) & np.uint64(0x5555555555555555))
@@ -41,7 +42,7 @@ def _popcount64(words: np.ndarray) -> np.ndarray:
         (x >> np.uint64(2)) & np.uint64(0x3333333333333333)
     )
     x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-    return (x * np.uint64(0x0101010101010101)) >> np.uint64(56)
+    return ((x * np.uint64(0x0101010101010101)) >> np.uint64(56)).astype(np.uint8)
 
 
 def packed_hamming_distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -64,20 +65,14 @@ def packed_hamming_distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         )
     if not len(a) or not len(b):
         return np.zeros((len(a), len(b)), dtype=np.int32)
-    if len(a) * len(b) >= 1 << 16 and a.shape[1] * 8 < 1 << 24:
-        # |a ^ b| = |a| + |b| - 2·(a·b) over the unpacked bit vectors,
-        # so the O(n·m·w) reduction becomes one BLAS matmul.  All
-        # counts fit far below 2^24, where float32 is exact.
-        bits_a = np.unpackbits(a, axis=1).astype(np.float32)
-        bits_b = np.unpackbits(b, axis=1).astype(np.float32)
-        cross = bits_a @ bits_b.T
-        wa = bits_a.sum(axis=1, dtype=np.float32)
-        wb = bits_b.sum(axis=1, dtype=np.float32)
-        return (wa[:, None] + wb[None, :] - 2.0 * cross).astype(np.int32)
     a64 = a.view(np.uint64)
     b64 = b.view(np.uint64)
-    xors = a64[:, None, :] ^ b64[None, :, :]
-    return _popcount64(xors).sum(axis=2, dtype=np.int32)
+    # One (n, m) accumulation per word: no (n, m, w) intermediate and
+    # no BLAS threads, so the cost does not swing with host load.
+    out = np.zeros((len(a), len(b)), dtype=np.int32)
+    for k in range(a64.shape[1]):
+        out += _popcount64(a64[:, k, None] ^ b64[None, :, k])
+    return out
 
 
 def hamming_distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -78,19 +78,6 @@ from repro.soc.board import available_boards, get_board
 from repro.units import to_gbps, to_us
 
 
-def _get_pipeline(app: str):
-    if app == "shwfs":
-        from repro.apps.shwfs import ShwfsPipeline
-
-        return ShwfsPipeline()
-    if app == "orbslam":
-        from repro.apps.orbslam import OrbPipeline
-
-        return OrbPipeline()
-    raise ReproError(
-        f"unknown application {app!r}; available: {', '.join(APPS)}")
-
-
 def cmd_boards(args: argparse.Namespace) -> str:
     """List board presets."""
     table = Table("Available boards", ["name", "display name", "I/O coherent"])
@@ -140,14 +127,14 @@ def cmd_tune(args: argparse.Namespace) -> str:
     import contextlib
 
     board = get_board(args.board)
-    pipeline = _get_pipeline(args.app)
     framework = _framework_from_args(args)
     with contextlib.ExitStack() as stack:
         if getattr(args, "deadline_s", None):
             from repro.resilience.deadline import Deadline, deadline_scope
 
             stack.enter_context(deadline_scope(Deadline.after(args.deadline_s)))
-        report = pipeline.tune(framework, board, current_model=args.model)
+        report = framework.tune(build_workload(args.app, board_name=board.name),
+                                board, current_model=args.model)
     rec = report.recommendation
     table = Table(
         f"Tuning {args.app} on {board.display_name} (currently {args.model})",

@@ -188,10 +188,12 @@ class TiledPattern(PatternSpec):
 
 @dataclass(frozen=True)
 class VirtualLinearPattern(PatternSpec):
-    """Shape-only sequential sweep for huge buffers (MB3: 2^27 floats).
+    """Shape-only sequential sweep: MB3's 2^27 floats, and MB1's
+    LLC-sized sweeps, which the closed forms model exactly.
 
     The buffer's own element count defines the sweep length; no
-    addresses are materialized, so only the analytic path can serve it.
+    addresses are materialized, so the analytic backend serves it
+    through the closed forms and the simulated one synthesizes it.
     """
 
     buffer: str

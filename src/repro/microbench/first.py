@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict
 
 from repro.kernels.ops import OpMix
-from repro.kernels.patterns import LinearPattern, SingleAddressPattern
+from repro.kernels.patterns import SingleAddressPattern, VirtualLinearPattern
 from repro.kernels.task import CpuTask, GpuKernel
 from repro.kernels.workload import BufferSpec, Direction, Workload
 from repro.microbench.base import MicroBenchmark
@@ -137,7 +137,7 @@ class FirstMicroBenchmark(MicroBenchmark):
         gpu_kernel = GpuKernel(
             name="2d-reduction",
             ops=OpMix.per_element({"add": 1.0}, elements * self.gpu_sweep_repeats),
-            pattern=LinearPattern(
+            pattern=VirtualLinearPattern(
                 buffer="matrix", read_write_pairs=False, repeats=self.gpu_sweep_repeats
             ),
         )
@@ -170,7 +170,7 @@ class FirstMicroBenchmark(MicroBenchmark):
         task = CpuTask(
             name="llc-sweep",
             ops=OpMix.per_element({"add": 1.0}, elements),
-            pattern=LinearPattern(
+            pattern=VirtualLinearPattern(
                 buffer="probe", read_write_pairs=False,
                 repeats=self.gpu_sweep_repeats,
             ),

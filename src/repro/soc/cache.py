@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import Iterator, List, Set
 
 import numpy as np
 
@@ -104,7 +104,9 @@ class SetAssociativeCache:
     The tag store is one :class:`collections.OrderedDict` per set,
     mapping tag → dirty flag, ordered LRU-first.  All operations are
     O(1) per access, which keeps exact simulation usable up to a few
-    million transactions.
+    million transactions.  The indices of the sets touched since the
+    last clear are kept too, so occupancy queries, flushes and
+    invalidations cost O(touched sets), not O(all sets).
     """
 
     def __init__(self, config: CacheConfig, enabled: bool = True) -> None:
@@ -114,6 +116,7 @@ class SetAssociativeCache:
         self._line_shift = config.line_size.bit_length() - 1
         self._set_mask = config.num_sets - 1
         self._sets: List[OrderedDict] = [OrderedDict() for _ in range(config.num_sets)]
+        self._touched: Set[int] = set()
 
     # ------------------------------------------------------------------
     # state inspection
@@ -122,12 +125,16 @@ class SetAssociativeCache:
     @property
     def resident_lines(self) -> int:
         """Lines currently valid in the cache."""
-        return sum(len(s) for s in self._sets)
+        return sum(len(s) for s in self._touched_sets())
 
     @property
     def dirty_lines(self) -> int:
         """Lines currently dirty."""
-        return sum(1 for s in self._sets for dirty in s.values() if dirty)
+        return sum(1 for s in self._touched_sets() for dirty in s.values() if dirty)
+
+    def _touched_sets(self) -> Iterator[OrderedDict]:
+        """The sets accessed since the last clear (all others are empty)."""
+        return (self._sets[i] for i in self._touched)
 
     def contains(self, address: int) -> bool:
         """True when the line holding ``address`` is resident."""
@@ -178,6 +185,7 @@ class SetAssociativeCache:
         tags = (lines >> set_bits).tolist()
         write_list = np.asarray(is_write, dtype=bool).tolist()
         line_list = lines.tolist()
+        self._touched.update(set_idx)
 
         hits = np.zeros(n, dtype=bool)
         misses: List[int] = []
@@ -235,8 +243,7 @@ class SetAssociativeCache:
         """
         dirty = self.dirty_lines
         invalidated = self.resident_lines
-        for s in self._sets:
-            s.clear()
+        self._clear()
         self.stats.flush_writebacks += dirty
         self.stats.invalidations += invalidated
         return dirty
@@ -244,10 +251,15 @@ class SetAssociativeCache:
     def invalidate(self) -> int:
         """Drop all lines without writing back (returns lines dropped)."""
         count = self.resident_lines
-        for s in self._sets:
-            s.clear()
+        self._clear()
         self.stats.invalidations += count
         return count
+
+    def _clear(self) -> None:
+        """Empty every touched set."""
+        for s in self._touched_sets():
+            s.clear()
+        self._touched.clear()
 
     def warm_with(self, addresses: np.ndarray) -> None:
         """Pre-load lines (reads) without counting statistics."""
@@ -261,6 +273,5 @@ class SetAssociativeCache:
 
     def reset(self) -> None:
         """Clear contents and statistics."""
-        for s in self._sets:
-            s.clear()
+        self._clear()
         self.stats = CacheStats()

@@ -103,14 +103,21 @@ class TestVectorizedEquivalence:
         reference = _byte_hamming_distance_matrix(a, b)
         assert np.array_equal(packed, reference)
 
-    def test_blas_branch_identical(self):
-        # 300 x 250 crosses the 2^16-pair threshold: the matmul
-        # identity path must still be bit-exact.
+    def test_large_matrix_identical(self):
         a, b = self._random_pair(n=300, m=250)
-        assert a.shape[0] * b.shape[0] >= 1 << 16
         fast = hamming_distance_matrix(a, b)
         slow = _byte_hamming_distance_matrix(a, b)
         assert np.array_equal(fast, slow)
+
+    def test_swar_popcount_identical(self, monkeypatch):
+        # NumPy < 2 has no bitwise_count: the SWAR reduction serves.
+        from repro.apps.orbslam import matching
+
+        monkeypatch.setattr(matching, "_HAS_BITWISE_COUNT", False)
+        a, b = self._random_pair(width=64)
+        packed = matching.packed_hamming_distance_matrix(a, b)
+        assert packed.dtype == np.int32
+        assert np.array_equal(packed, _byte_hamming_distance_matrix(a, b))
 
     def test_odd_width_uses_lut(self):
         from repro.apps.orbslam.matching import packed_hamming_distance_matrix

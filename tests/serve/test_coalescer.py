@@ -106,9 +106,9 @@ class TestUniqueJobPlanning:
         assert jobs[0].items == [items[0], items[1], items[3]]
 
     def test_explicit_workloads_never_deduplicate(self):
-        from repro.cli import _get_pipeline
+        from repro.apps import build_workload
 
-        workload = _get_pipeline("shwfs").workload(board_name="tx2")
+        workload = build_workload("shwfs", board_name="tx2")
         items = [
             PendingItem(request=TuneRequest(board="tx2", workload=workload),
                         future=None)

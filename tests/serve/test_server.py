@@ -44,7 +44,7 @@ def warm_framework(tmp_path_factory):
 
 class TestAnswerTransparency:
     def test_batched_answers_bit_identical_to_serial(self, warm_framework):
-        from repro.cli import _get_pipeline
+        from repro.apps import build_workload
 
         requests = [
             TuneRequest(board="tx2", app="shwfs", tenant="a"),
@@ -55,8 +55,7 @@ class TestAnswerTransparency:
         ]
         serial = []
         for request in requests:
-            workload = _get_pipeline(request.app).workload(
-                board_name=request.board)
+            workload = build_workload(request.app, board_name=request.board)
             serial.append(warm_framework.tune(
                 workload, get_board(request.board),
                 current_model=request.current_model,

@@ -72,15 +72,10 @@ class TestFailurePaths:
         from repro import cli
         from repro.errors import WorkloadError
 
-        class BrokenPipeline:
-            def workload(self, board_name=""):
-                raise WorkloadError("frames must be positive")
+        def broken_workload(app, board_name=""):
+            raise WorkloadError("frames must be positive")
 
-            def tune(self, framework, board, current_model="SC"):
-                raise WorkloadError("frames must be positive")
-
-        monkeypatch.setattr(cli, "_get_pipeline",
-                            lambda app: BrokenPipeline())
+        monkeypatch.setattr(cli, "build_workload", broken_workload)
         assert main(["tune", "shwfs", "tx2"]) == 2
         err = capsys.readouterr().err
         assert "error[WORKLOAD_MALFORMED]" in err
