@@ -439,8 +439,7 @@ def cmd_serve(args: argparse.Namespace) -> str:
                         config=config)
     table = Table(
         f"Served {len(answers)} request(s) "
-        f"(window {config.window_s * 1e3:g} ms, "
-        f"max batch {config.max_batch})",
+        f"(max batch {config.max_batch})",
         ["tenant", "app/workload", "board", "status", "recommend",
          "batch", "shared"],
     )
@@ -463,7 +462,7 @@ def _serve_config(args: argparse.Namespace, requests: int):
     max_pending = args.max_pending
     if max_pending is None:
         max_pending = max(ServeConfig().max_pending, requests)
-    return ServeConfig(window_s=args.window_s, max_batch=args.max_batch,
+    return ServeConfig(max_batch=args.max_batch,
                        max_pending=max_pending).validated()
 
 
@@ -817,11 +816,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSON array of request objects "
                         '({"board": ..., "app": ..., ...}) to answer '
                         "as one concurrent stream")
-    p.add_argument("--window-s", type=float, default=0.005, metavar="S",
-                   help="coalescing time window (default: 0.005)")
     p.add_argument("--max-batch", type=int, default=16,
-                   help="size window: a full batch dispatches "
-                        "immediately (default: 16)")
+                   help="batch size bound: a full batch dispatches "
+                        "without waiting for a free worker (default: 16)")
     p.add_argument("--max-pending", type=int, default=None,
                    help="in-flight bound past which requests are shed "
                         "(default: 64, raised to the number of requests "

@@ -57,6 +57,7 @@ import pathlib
 import sys
 import tempfile
 import threading
+import weakref
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import repro
@@ -224,6 +225,29 @@ def _board_json(board: BoardConfig) -> str:
     return _dumps(dataclasses.asdict(board))
 
 
+#: ``id(workload)`` → (weak reference, content JSON) of every live
+#: workload keyed so far; an entry leaves with its workload.  Workloads
+#: hold dicts (unhashable), so the table is keyed by identity.
+_WORKLOAD_JSON: Dict[int, Tuple[weakref.ref, str]] = {}
+
+
+def _workload_json(workload: Any) -> str:
+    """A workload's canonical content JSON, once per workload object.
+
+    A workload is a frozen value, so its content never changes while it
+    lives.  Threads keying one object at once may each compute it; the
+    text is the same, and the last write wins.
+    """
+    entry = _WORKLOAD_JSON.get(id(workload))
+    if entry is not None and entry[0]() is workload:
+        return entry[1]
+    text = _dumps(_content(workload))
+    ident = id(workload)
+    ref = weakref.ref(workload, lambda _: _WORKLOAD_JSON.pop(ident, None))
+    _WORKLOAD_JSON[ident] = (ref, text)
+    return text
+
+
 def cache_key(board: BoardConfig, signature: Mapping[str, Any],
               workload: Any = None) -> str:
     """Content hash identifying one store entry's inputs.
@@ -236,14 +260,16 @@ def cache_key(board: BoardConfig, signature: Mapping[str, Any],
 
     The hashed text is the ``sort_keys`` JSON of ``{"board", "microbench"
     | "profile", "version"[, "workload"]}``, assembled from the board's
-    cached JSON so a key costs one board serialization per board value.
+    and the workload's cached JSON, so a key costs one board
+    serialization per board value and one workload serialization per
+    workload object.
     """
     parts = [("board", _board_json(board)),
              ("microbench" if workload is None else "profile",
               _dumps(dict(signature))),
              ("version", _dumps(repro.__version__))]
     if workload is not None:
-        parts.append(("workload", _dumps(_content(workload))))
+        parts.append(("workload", _workload_json(workload)))
     blob = "{" + ", ".join(f'"{name}": {text}' for name, text in parts) + "}"
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 

@@ -6,9 +6,10 @@ paper describes, amortized three ways —
 
 - **micro-batching** (:mod:`repro.serve.coalescer`): compatible
   in-flight requests (same characterization content hash, model and
-  strictness) group within a small time/size window and dispatch as
-  one characterize-once ``tune_many`` batch; identical requests
-  collapse onto a single tune whose answer fans out;
+  strictness) that queue while the dispatch workers are busy group
+  into one characterize-once ``tune_many`` batch, dispatched as soon
+  as a worker is free; identical requests collapse onto a single tune
+  whose answer fans out;
 - **shared characterization store**
   (:class:`~repro.perf.cache.ShardedCharacterizationStore`): key-prefix
   shards, byte-budgeted LRU eviction, cross-process single-flight
@@ -24,7 +25,6 @@ the command line.  See ``docs/serving.md``.
 
 from repro.serve.coalescer import (
     DEFAULT_MAX_BATCH,
-    DEFAULT_WINDOW_S,
     BatchKey,
     Coalescer,
     PendingBatch,
@@ -39,7 +39,6 @@ from repro.serve.server import ServeConfig, ServeStats, TuneServer, serve_all
 
 __all__ = [
     "DEFAULT_MAX_BATCH",
-    "DEFAULT_WINDOW_S",
     "BatchKey",
     "Coalescer",
     "PendingBatch",

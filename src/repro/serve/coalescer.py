@@ -2,13 +2,14 @@
 
 The paper's framework makes one decision per application × board; at
 serving scale the same few decisions are requested by many tenants at
-once.  The coalescer exploits that: requests that arrive within a small
-time/size window and share a **batch key** — the characterization
-content hash (board + micro-benchmark parameters + version), the
-current communication model and the strictness — are dispatched as one
-batch instead of N serial tunes.  Within a batch, *identical* requests
-(same bundled app, board and model) collapse onto a single
-``Framework.tune`` whose report fans out to every requester.
+once.  The coalescer exploits that: requests that queue while every
+dispatch worker is busy (or that are submitted in one burst) and share
+a **batch key** — the characterization content hash (board +
+micro-benchmark parameters + version), the current communication model
+and the strictness — are dispatched as one batch instead of N serial
+tunes.  Within a batch, *identical* requests (same bundled app, board
+and model) collapse onto a single ``Framework.tune`` whose report fans
+out to every requester.
 
 Two invariants the tests pin down:
 
@@ -22,8 +23,9 @@ Two invariants the tests pin down:
   per-workload flow).
 
 The coalescer itself is synchronous state (usable and testable without
-an event loop); :class:`~repro.serve.server.TuneServer` owns the
-asyncio window timers and dispatch.
+an event loop); :class:`~repro.serve.server.TuneServer` decides when a
+batch leaves it: as soon as a dispatch worker is free, or at once when
+it reaches ``max_batch``.
 """
 
 from __future__ import annotations
@@ -39,11 +41,8 @@ from repro.kernels.workload import Workload
 from repro.model.framework import TuningReport, conservative_report
 from repro.profiling.counters import AppProfile
 
-#: Default coalescing window: long enough to catch a concurrent burst,
-#: short enough to stay invisible next to a single profile run.
-DEFAULT_WINDOW_S = 0.005
-
-#: Default size window: a full batch dispatches without waiting.
+#: Default size bound: a full batch dispatches without waiting for a
+#: free worker.
 DEFAULT_MAX_BATCH = 16
 
 @dataclass(frozen=True)
@@ -179,13 +178,11 @@ class PendingItem:
 
 @dataclass
 class PendingBatch:
-    """The open window for one batch key."""
+    """The queued requests of one batch key."""
 
     key: BatchKey
     board: Any  # resolved BoardConfig (resolved once at key time)
-    opened: float = field(default_factory=time.monotonic)
     items: List[PendingItem] = field(default_factory=list)
-    timer: Any = None
     dispatched: Optional[float] = None
 
     def __len__(self) -> int:
@@ -214,25 +211,22 @@ class UniqueJob:
 
 
 class Coalescer:
-    """Keyed pending-batch table with time/size windows.
+    """Keyed pending-batch table, oldest batch first.
 
     Not thread-safe by itself: the server mutates it only from the
     event loop.  ``add`` opens a batch per key on demand; a batch
-    leaves the table exactly once, via :meth:`pop` (size window or
-    shutdown flush) or :meth:`pop_if` (window timer, identity-checked
-    so a timer can never dispatch a *successor* batch of its key).
+    leaves the table exactly once, via :meth:`pop` (full batch),
+    :meth:`pop_oldest` (a dispatch worker is free) or :meth:`flush`
+    (shutdown).
     """
 
-    def __init__(self, window_s: float = DEFAULT_WINDOW_S,
-                 max_batch: int = DEFAULT_MAX_BATCH) -> None:
-        if window_s < 0 or max_batch < 1:
+    def __init__(self, max_batch: int = DEFAULT_MAX_BATCH) -> None:
+        if max_batch < 1:
             raise ServeError(
-                f"need window_s >= 0 and max_batch >= 1, got "
-                f"window_s={window_s}, max_batch={max_batch}",
+                f"need max_batch >= 1, got max_batch={max_batch}",
                 code="SERVE_BAD_CONFIG",
-                details={"window_s": window_s, "max_batch": max_batch},
+                details={"max_batch": max_batch},
             )
-        self.window_s = window_s
         self.max_batch = max_batch
         self._batches: Dict[BatchKey, PendingBatch] = {}
 
@@ -244,39 +238,28 @@ class Coalescer:
         return list(self._batches.values())
 
     def add(self, key: BatchKey, board: Any,
-            item: PendingItem) -> Tuple[PendingBatch, bool, bool]:
+            item: PendingItem) -> Tuple[PendingBatch, bool]:
         """Queue ``item`` under ``key``.
 
-        Returns ``(batch, opened, full)``: ``opened`` means this item
-        created the batch (the caller should start its window timer),
-        ``full`` means the size window closed (the caller should pop
-        and dispatch now).
+        Returns ``(batch, full)``: ``full`` means the batch reached
+        ``max_batch`` (the caller should pop and dispatch it now).
         """
         batch = self._batches.get(key)
-        opened = batch is None
-        if opened:
+        if batch is None:
             batch = PendingBatch(key=key, board=board)
             self._batches[key] = batch
         batch.items.append(item)
-        return batch, opened, len(batch) >= self.max_batch
+        return batch, len(batch) >= self.max_batch
 
     def pop(self, key: BatchKey) -> Optional[PendingBatch]:
         """Remove and return the batch for ``key`` (None if absent)."""
         return self._batches.pop(key, None)
 
-    def pop_if(self, key: BatchKey,
-               batch: PendingBatch) -> Optional[PendingBatch]:
-        """Remove ``batch`` only if it is still the one registered.
-
-        A window timer holds a reference to the batch it opened; by the
-        time it fires, a size-window dispatch may have replaced it with
-        a fresh batch under the same key.  Identity-checking keeps the
-        timer from stealing the successor's window.
-        """
-        current = self._batches.get(key)
-        if current is not batch:
-            return None
-        return self._batches.pop(key)
+    def pop_oldest(self) -> Optional[PendingBatch]:
+        """Remove and return the batch opened first (None if empty)."""
+        for key in self._batches:
+            return self._batches.pop(key)
+        return None
 
     def flush(self) -> List[PendingBatch]:
         """Remove and return every open batch (shutdown drain)."""

@@ -2,15 +2,18 @@
 
 Composition layer over the existing stack — nothing below it changes:
 
-- requests enter :meth:`TuneServer.submit` and join the
-  :class:`~repro.serve.coalescer.Coalescer`'s window for their batch
+- requests enter :meth:`TuneServer.submit` and queue in the
+  :class:`~repro.serve.coalescer.Coalescer`'s batch for their batch
   key (characterization hash × model × strictness);
-- a window closes by time (``window_s``) or size (``max_batch``) and
-  the batch is dispatched to a worker thread, where duplicate requests
-  collapse onto one ``Framework.tune`` and distinct workloads ride the
-  characterize-once ``tune_many`` path (whose sweeps run on the
-  vectorized ``run_batch`` engine, results straight from the sharded
-  characterization store on a warm key);
+- a batch is dispatched to a worker thread as soon as one of the
+  ``dispatch_workers`` is free (oldest batch first), or at once when it
+  reaches ``max_batch``.  There is no timer: a lone request dispatches
+  on the next loop iteration, and a batch is whatever queued while the
+  workers were busy — or was submitted in the same loop iteration.  In
+  the worker, duplicate requests collapse onto one ``Framework.tune``
+  and distinct workloads ride the characterize-once ``tune_many`` path
+  (results straight from the sharded characterization store on a warm
+  key);
 - **backpressure**: at most ``max_pending`` requests may be in flight;
   overflow is load-shed *immediately* into degraded ``KEEP_CURRENT``
   answers carrying a ``SERVE_OVERLOADED`` caveat — the queue never
@@ -61,13 +64,12 @@ from repro.soc.board import BoardConfig, get_board
 class ServeConfig:
     """The server's tuning knobs (documented in ``docs/serving.md``).
 
-    ``window_s`` trades tail latency for batching opportunity;
     ``max_batch`` bounds one dispatch; ``max_pending`` is the
     backpressure limit past which submissions shed; ``dispatch_workers``
     is how many batches may execute concurrently (distinct keys —
-    e.g. different boards — overlap)."""
+    e.g. different boards — overlap), and so how many batches run
+    before the next one starts to fill."""
 
-    window_s: float = 0.005
     max_batch: int = 16
     max_pending: int = 64
     dispatch_workers: int = 2
@@ -118,14 +120,16 @@ class TuneServer:
         self.framework = framework if framework is not None else Framework()
         self.config = (config or ServeConfig()).validated()
         self.stats = ServeStats()
-        self._coalescer = Coalescer(window_s=self.config.window_s,
-                                    max_batch=self.config.max_batch)
+        self._coalescer = Coalescer(max_batch=self.config.max_batch)
         self._pending = 0
+        self._running = 0
+        self._drain_scheduled = False
         self._open = False
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._executor: Optional[ThreadPoolExecutor] = None
         self._inflight: set = set()
         self._workloads: Dict[Tuple[str, str], Any] = {}
+        self._batch_keys: Dict[BoardConfig, str] = {}
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -140,18 +144,16 @@ class TuneServer:
             thread_name_prefix="repro-serve",
         )
         self._open = True
-        obs.event("serve.started", window_s=self.config.window_s,
-                  max_batch=self.config.max_batch,
+        obs.event("serve.started", max_batch=self.config.max_batch,
                   max_pending=self.config.max_pending)
 
     async def stop(self) -> None:
-        """Stop accepting, flush open windows, await in-flight work."""
+        """Stop accepting, dispatch every queued batch, await in-flight
+        work."""
         if not self._open:
             return
         self._open = False
         for batch in self._coalescer.flush():
-            if batch.timer is not None:
-                batch.timer.cancel()
             self._launch(batch)
         while self._inflight:
             await asyncio.gather(*list(self._inflight),
@@ -194,26 +196,23 @@ class TuneServer:
                               f"{self._pending} request(s) already in "
                               f"flight (limit {self.config.max_pending})")
         key = BatchKey(
-            characterization=cache_key(
-                board, self.framework.suite.cache_signature()),
+            characterization=self._characterization_key(board),
             board=board.name,
             current_model=request.current_model.upper(),
             strict=request.strict,
         )
         item = PendingItem(request=request,
                            future=self._loop.create_future())
-        batch, opened, full = self._coalescer.add(key, board, item)
+        _, full = self._coalescer.add(key, board, item)
         self._pending += 1
         obs.gauge_set("serve.pending", self._pending)
         if full:
-            popped = self._coalescer.pop(key)
-            if popped is not None:
-                if popped.timer is not None:
-                    popped.timer.cancel()
-                self._launch(popped)
-        elif opened:
-            batch.timer = self._loop.create_task(
-                self._window_timer(key, batch))
+            self._launch(self._coalescer.pop(key))
+        elif not self._drain_scheduled:
+            # After every submit already queued in this loop iteration,
+            # so a burst lands in one batch per key.
+            self._drain_scheduled = True
+            self._loop.call_soon(self._drain)
         return await item.future
 
     async def submit_many(
@@ -222,6 +221,15 @@ class TuneServer:
         """Submit concurrently; answers keep the input order."""
         return list(await asyncio.gather(
             *(self.submit(request) for request in requests)))
+
+    def _characterization_key(self, board: BoardConfig) -> str:
+        """The characterization content hash of ``board``, once per
+        board value (the suite's signature never changes)."""
+        key = self._batch_keys.get(board)
+        if key is None:
+            key = cache_key(board, self.framework.suite.cache_signature())
+            self._batch_keys[board] = key
+        return key
 
     def _shed(self, request: TuneRequest, board: BoardConfig, code: str,
               detail: str) -> TuneAnswer:
@@ -243,17 +251,17 @@ class TuneServer:
     # dispatch
     # ------------------------------------------------------------------
 
-    async def _window_timer(self, key: BatchKey,
-                            batch: PendingBatch) -> None:
-        try:
-            await asyncio.sleep(self.config.window_s)
-        except asyncio.CancelledError:
-            return
-        popped = self._coalescer.pop_if(key, batch)
-        if popped is not None:
-            self._launch(popped)
+    def _drain(self) -> None:
+        """Dispatch the oldest queued batches while a worker is free."""
+        self._drain_scheduled = False
+        while self._running < self.config.dispatch_workers:
+            batch = self._coalescer.pop_oldest()
+            if batch is None:
+                return
+            self._launch(batch)
 
     def _launch(self, batch: PendingBatch) -> None:
+        self._running += 1
         batch.dispatched = time.monotonic()
         task = self._loop.create_task(self._run_batch(batch))
         self._inflight.add(task)
@@ -280,6 +288,8 @@ class TuneServer:
         finally:
             self._pending -= len(batch.items)
             obs.gauge_set("serve.pending", self._pending)
+            self._running -= 1
+            self._drain()
 
     # ------------------------------------------------------------------
     # execution (worker thread)
@@ -424,8 +434,9 @@ def serve_all(requests: Sequence[TuneRequest],
               config: Optional[ServeConfig] = None) -> List[TuneAnswer]:
     """Convenience wrapper: serve a request list on a private loop.
 
-    Submissions are concurrent (so the coalescer sees them in one
-    window); answers keep the input order.
+    Submissions are concurrent and all queue before the first dispatch,
+    so each batch key's requests form one batch (up to ``max_batch``);
+    answers keep the input order.
     """
     async def _run() -> List[TuneAnswer]:
         async with TuneServer(framework, config) as server:

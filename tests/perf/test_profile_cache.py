@@ -11,10 +11,16 @@ profile bit for bit.
 import copy
 import dataclasses
 import enum
+import gc
+import sys
+import threading
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 import repro
+from repro.apps import build_workload
 from repro.apps.orbslam import build_orbslam_workload
 from repro.apps.shwfs import build_shwfs_workload
 from repro.kernels.ops import OpMix
@@ -22,6 +28,7 @@ from repro.kernels.patterns import LinearPattern
 from repro.microbench.suite import MicrobenchmarkSuite
 from repro.model.framework import Framework
 from repro.obs import metrics, state, trace
+from repro.perf import cache
 from repro.perf.cache import ShardedCharacterizationStore, cache_key
 from repro.profiling.profiler import Profiler
 from repro.sim.backend import AnalyticBackend, SimulatedBackend
@@ -157,6 +164,76 @@ class TestKeyCoverage:
         board = get_board("tx2")
         assert cache_key(board, suite.cache_signature()) != \
             profile_key(build_shwfs_workload(), board)
+
+
+class TestKeyMemo:
+    """A workload's content JSON is memoized per object; every key
+    stays the text the parent serialization hashes."""
+
+    def test_one_object_walks_its_content_once(self, monkeypatch):
+        workload = build_shwfs_workload()
+        walked = []
+        content = cache._content
+
+        def spy(value):
+            if value is workload:
+                walked.append(value)
+            return content(value)
+
+        monkeypatch.setattr(cache, "_content", spy)
+        first = profile_key(workload)
+        assert profile_key(workload) == first
+        assert profile_key(workload, model="ZC") != first
+        assert len(walked) == 1
+
+    def test_rebuilt_equal_workload_gets_the_same_key(self):
+        workload = build_workload("orbslam", board_name="xavier")
+        key = profile_key(workload)
+        assert profile_key(workload) == key
+        rebuilt = build_workload("orbslam", board_name="xavier")
+        assert rebuilt is not workload
+        assert profile_key(rebuilt) == key
+
+    def test_key_is_pinned(self, monkeypatch):
+        """The key a package-version-1.0.0 store entry was written
+        under: a changed serialization would orphan every stored
+        profile."""
+        monkeypatch.setattr(repro, "__version__", "1.0.0")
+        workload = build_workload("orbslam", board_name="xavier")
+        expected = ("96920163822beed7d042c3c08c4617292122469d57f7a3bd09c2"
+                    "30939879ec08")
+        assert profile_key(workload, get_board("xavier")) == expected
+        assert profile_key(workload, get_board("xavier")) == expected
+
+    def test_threads_keying_one_object_agree(self):
+        expected = profile_key(build_shwfs_workload())
+        workload = build_shwfs_workload()
+        barrier = threading.Barrier(8)
+
+        def key(_):
+            barrier.wait(timeout=30)
+            return profile_key(workload)
+
+        # More threads than cores, switching as often as possible.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                keys = list(pool.map(key, range(8), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert keys == [expected] * 8
+        assert profile_key(workload) == expected
+
+    def test_memo_does_not_keep_a_workload_alive(self):
+        workload = build_shwfs_workload()
+        profile_key(workload)
+        ident, alive = id(workload), weakref.ref(workload)
+        assert ident in cache._WORKLOAD_JSON
+        del workload
+        gc.collect()
+        assert alive() is None
+        assert ident not in cache._WORKLOAD_JSON
 
 
 def _bits(profile):

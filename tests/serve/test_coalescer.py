@@ -1,4 +1,4 @@
-"""Coalescer invariants: keyed windows, dedup planning, shed answers."""
+"""Coalescer invariants: keyed batches, dedup planning, shed answers."""
 
 import math
 
@@ -50,14 +50,12 @@ class TestRequestValidation:
 class TestCoalescer:
     def test_bad_config_rejected(self):
         with pytest.raises(ServeError):
-            Coalescer(window_s=-1.0)
-        with pytest.raises(ServeError):
             Coalescer(max_batch=0)
 
     def test_first_add_opens_batch(self):
         coalescer = Coalescer()
-        batch, opened, full = coalescer.add(_key(), object(), _item())
-        assert opened and not full
+        batch, full = coalescer.add(_key(), object(), _item())
+        assert coalescer.open_batches == [batch] and not full
         assert len(batch) == 1 and len(coalescer) == 1
 
     def test_batches_never_mix_keys(self):
@@ -76,19 +74,22 @@ class TestCoalescer:
 
     def test_size_window_closes_batch(self):
         coalescer = Coalescer(max_batch=2)
-        _, _, full = coalescer.add(_key(), object(), _item())
+        _, full = coalescer.add(_key(), object(), _item())
         assert not full
-        _, _, full = coalescer.add(_key(), object(), _item())
+        _, full = coalescer.add(_key(), object(), _item())
         assert full
 
-    def test_pop_if_ignores_successor_batch(self):
+    def test_pop_oldest_follows_opening_order(self):
         coalescer = Coalescer()
-        stale, _, _ = coalescer.add(_key(), object(), _item())
-        assert coalescer.pop(_key()) is stale
-        fresh, _, _ = coalescer.add(_key(), object(), _item())
-        # the stale batch's timer must not steal the fresh window
-        assert coalescer.pop_if(_key(), stale) is None
-        assert coalescer.pop_if(_key(), fresh) is fresh
+        keys = [_key(board="xavier"), _key(), _key(current_model="ZC")]
+        for key in keys:
+            coalescer.add(key, object(), _item())
+        # a later item joins its key's batch without moving it
+        coalescer.add(keys[0], object(), _item())
+        popped = [coalescer.pop_oldest() for _ in keys]
+        assert [batch.key for batch in popped] == keys
+        assert [len(batch) for batch in popped] == [2, 1, 1]
+        assert coalescer.pop_oldest() is None and len(coalescer) == 0
 
     def test_flush_drains_everything(self):
         coalescer = Coalescer()

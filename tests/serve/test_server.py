@@ -1,16 +1,23 @@
-"""TuneServer end-to-end: transparency, backpressure, deadlines,
-error isolation.
+"""TuneServer end-to-end: dispatch, transparency, backpressure,
+deadlines, error isolation.
 
 The load-bearing invariant is *answer transparency*: a batched answer
 must be bit-identical to what a serial ``Framework.tune`` returns for
 the same request.  Reports carry NaN fields (degraded thresholds), so
 identity is asserted on a JSON fingerprint — NaN serializes
 deterministically — rather than dataclass ``==``.
+
+Dispatch is checked by the order of events, never by wall-clock
+bounds: :class:`GatedServer` holds its worker threads on a
+:class:`threading.Event`, so a test decides what is queued when a
+worker frees up.
 """
 
 import asyncio
 import dataclasses
 import json
+import threading
+import time
 
 import pytest
 
@@ -19,9 +26,45 @@ from repro.model.framework import Framework
 from repro.serve import ServeConfig, TuneRequest, TuneServer, serve_all
 from repro.soc.board import get_board
 
-#: A window generous enough that every concurrently submitted request
-#: lands in its key's first batch, keeping the tests deterministic.
-WIDE = ServeConfig(window_s=0.1)
+#: Requests that occupy both default dispatch workers: two batch keys.
+BLOCKERS = [TuneRequest(board="xavier", app="shwfs", current_model=model,
+                        tenant=f"blocker-{model}") for model in ("SC", "ZC")]
+
+
+class GatedServer(TuneServer):
+    """A server whose worker threads wait on ``gate`` before running a
+    batch; ``held`` counts the batches that reached it."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.gate = threading.Event()
+        self.held = threading.Semaphore(0)
+
+    def _execute_batch(self, batch):
+        self.held.release()
+        assert self.gate.wait(timeout=60), "gate never opened"
+        return super()._execute_batch(batch)
+
+    async def stop(self):
+        # opens the gate first, so a failed test never leaves a worker
+        # held
+        self.gate.set()
+        await super().stop()
+
+    async def occupy_workers(self):
+        """Submit :data:`BLOCKERS`; return their tasks once both workers
+        hold one (the tasks resolve when the gate opens)."""
+        tasks = [asyncio.ensure_future(self.submit(request))
+                 for request in BLOCKERS]
+        for _ in BLOCKERS:
+            assert await asyncio.to_thread(self.held.acquire, True, 60)
+        return tasks
+
+
+async def settled(*awaitables):
+    """Their results, in order; a request that is never dispatched
+    fails the test instead of hanging it."""
+    return await asyncio.wait_for(asyncio.gather(*awaitables), timeout=60)
 
 
 def fingerprint(report):
@@ -61,7 +104,7 @@ class TestAnswerTransparency:
                 current_model=request.current_model,
                 strict=request.strict))
 
-        answers = serve_all(requests, warm_framework, WIDE)
+        answers = serve_all(requests, warm_framework)
 
         assert [answer.request.tenant for answer in answers] == \
             ["a", "b", "c", "d", "e"]
@@ -72,7 +115,7 @@ class TestAnswerTransparency:
     def test_duplicate_requests_share_one_tune(self, warm_framework):
         requests = [TuneRequest(board="tx2", app="shwfs",
                                 tenant=f"t{i}") for i in range(4)]
-        answers = serve_all(requests, warm_framework, WIDE)
+        answers = serve_all(requests, warm_framework)
         assert all(answer.batch_size == 4 for answer in answers)
         assert all(answer.coalesced_with == 3 for answer in answers)
         # dedup shares the very report object across the duplicates
@@ -85,16 +128,72 @@ class TestAnswerTransparency:
                            current_model="ZC")] * 2
             + [TuneRequest(board="xavier", app="shwfs")]
         )
-        answers = serve_all(requests, warm_framework, WIDE)
+        answers = serve_all(requests, warm_framework)
         assert [answer.batch_size for answer in answers] == \
             [3, 3, 3, 2, 2, 1]
         assert answers[3].report.current_model == "ZC"
         assert answers[0].report.current_model == "SC"
 
 
+class TestDispatch:
+    def test_lone_request_dispatches_on_the_first_drain(self,
+                                                        warm_framework):
+        async def _run():
+            async with TuneServer(warm_framework) as server:
+                events = []
+                drain, launch = server._drain, server._launch
+
+                def spy_drain():
+                    events.append("drain")
+                    drain()
+
+                def spy_launch(batch):
+                    events.append(("launch", len(batch)))
+                    launch(batch)
+
+                server._drain = spy_drain
+                server._launch = spy_launch
+                answer, = await settled(server.submit(
+                    TuneRequest(board="tx2", app="shwfs")))
+            return answer, events
+
+        answer, events = asyncio.run(_run())
+        assert answer.ok and answer.batch_size == 1
+        # the first drain after the submit launches the batch; the
+        # drain after the batch finished finds nothing queued
+        assert events == ["drain", ("launch", 1), "drain"]
+
+    def test_requests_queued_behind_busy_workers_form_one_batch(
+            self, warm_framework):
+        count = 5
+
+        async def _run():
+            async with GatedServer(warm_framework) as server:
+                blockers = await server.occupy_workers()
+                tasks = []
+                for index in range(count):
+                    # one arrival per loop iteration, each followed by
+                    # a drain that finds no free worker
+                    tasks.append(asyncio.ensure_future(server.submit(
+                        TuneRequest(board="tx2", app="shwfs",
+                                    tenant=f"t{index}"))))
+                    await asyncio.sleep(0)
+                    await asyncio.sleep(0)
+                assert len(server._coalescer) == count
+                server.gate.set()
+                return await settled(settled(*blockers), settled(*tasks))
+
+        blocked, answers = asyncio.run(_run())
+        assert [answer.batch_size for answer in blocked] == [1, 1]
+        assert all(answer.ok for answer in answers)
+        assert [answer.batch_size for answer in answers] == [count] * count
+        assert all(answer.coalesced_with == count - 1 for answer in answers)
+        assert len({id(answer.report) for answer in answers}) == 1
+
+
 class TestBackpressure:
     def test_overload_sheds_with_coded_caveat(self, warm_framework):
-        config = ServeConfig(window_s=0.1, max_pending=2)
+        config = ServeConfig(max_pending=2)
         requests = [TuneRequest(board="tx2", app="shwfs",
                                 tenant=f"t{i}") for i in range(6)]
         answers = serve_all(requests, warm_framework, config)
@@ -108,7 +207,7 @@ class TestBackpressure:
                        for caveat in rec.caveats)
 
     def test_shed_answer_never_raises_in_strict_mode(self, warm_framework):
-        config = ServeConfig(window_s=0.05, max_pending=1)
+        config = ServeConfig(max_pending=1)
         requests = [TuneRequest(board="tx2", app="shwfs", strict=True),
                     TuneRequest(board="tx2", app="shwfs", strict=True)]
         answers = serve_all(requests, warm_framework, config)
@@ -117,11 +216,30 @@ class TestBackpressure:
 
 class TestDeadlines:
     def test_expired_queue_deadline_sheds(self, warm_framework):
+        budget = 1e-4
         requests = [
-            TuneRequest(board="tx2", app="shwfs", deadline_s=1e-4),
+            TuneRequest(board="tx2", app="shwfs", deadline_s=budget),
             TuneRequest(board="tx2", app="shwfs"),
         ]
-        answers = serve_all(requests, warm_framework, WIDE)
+
+        async def _run():
+            async with GatedServer(warm_framework) as server:
+                blockers = await server.occupy_workers()
+                tasks = [asyncio.ensure_future(server.submit(request))
+                         for request in requests]
+                await asyncio.sleep(0)
+                # both are queued behind the held workers ...
+                assert len(server._coalescer) == len(requests)
+                queued_at = time.monotonic()
+                # ... until past the budget: no worker can take them
+                # before the gate opens
+                while time.monotonic() - queued_at <= budget:
+                    await asyncio.sleep(budget)
+                server.gate.set()
+                await settled(*blockers)
+                return await settled(*tasks)
+
+        answers = asyncio.run(_run())
         assert answers[0].shed
         caveats = answers[0].report.recommendation.caveats
         assert any("DEADLINE_EXCEEDED" in caveat for caveat in caveats)
@@ -130,7 +248,7 @@ class TestDeadlines:
     def test_generous_deadline_is_served(self, warm_framework):
         answers = serve_all(
             [TuneRequest(board="tx2", app="shwfs", deadline_s=30.0)],
-            warm_framework, WIDE)
+            warm_framework)
         assert answers[0].ok
 
 
@@ -152,7 +270,7 @@ class TestErrorIsolation:
         monkeypatch.setattr(warm_framework, "tune", orb_hating_tune)
         requests = [TuneRequest(board="tx2", app="shwfs"),
                     TuneRequest(board="tx2", app="orbslam")]
-        answers = serve_all(requests, warm_framework, WIDE)
+        answers = serve_all(requests, warm_framework)
         assert answers[0].ok
         assert answers[1].status == "error"
         assert answers[1].error["code"] == "TEST_ORB"
@@ -162,7 +280,7 @@ class TestErrorIsolation:
 class TestLifecycle:
     def test_submit_after_stop_raises(self, warm_framework):
         async def _run():
-            server = TuneServer(warm_framework, WIDE)
+            server = TuneServer(warm_framework)
             async with server:
                 pass
             with pytest.raises(ServeError) as excinfo:
@@ -171,16 +289,35 @@ class TestLifecycle:
 
         asyncio.run(_run())
 
-    def test_stop_flushes_open_windows(self, warm_framework):
+    def test_stop_answers_batches_queued_behind_busy_workers(
+            self, warm_framework):
         async def _run():
-            # a window far longer than the test: only the stop() flush
-            # can possibly dispatch the batch
-            config = ServeConfig(window_s=30.0)
-            async with TuneServer(warm_framework, config) as server:
+            server = GatedServer(warm_framework)
+            await server.start()
+            blockers = await server.occupy_workers()
+            queued = asyncio.ensure_future(server.submit(
+                TuneRequest(board="tx2", app="shwfs")))
+            await asyncio.sleep(0)
+            assert len(server._coalescer) == 1
+            await server.stop()
+            # stop() returns only once every request has its answer
+            assert queued.done() and all(task.done() for task in blockers)
+            return queued.result()
+
+        answer = asyncio.run(_run())
+        assert answer.ok
+
+    def test_stop_before_the_first_drain_answers_the_request(
+            self, warm_framework):
+        async def _run():
+            async with TuneServer(warm_framework) as server:
                 task = asyncio.ensure_future(server.submit(
                     TuneRequest(board="tx2", app="shwfs")))
-                await asyncio.sleep(0.01)
-            return await task
+                await asyncio.sleep(0)
+                # queued, its drain not yet run: stop() dispatches it
+                assert len(server._coalescer) == 1
+            assert task.done()
+            return task.result()
 
         answer = asyncio.run(_run())
         assert answer.ok
@@ -194,7 +331,7 @@ class TestLifecycle:
                                 tenant=f"t{i}") for i in range(5)]
 
         async def _run():
-            async with TuneServer(warm_framework, WIDE) as server:
+            async with TuneServer(warm_framework) as server:
                 answers = await server.submit_many(requests)
                 return answers, server.stats
 

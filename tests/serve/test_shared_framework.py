@@ -19,7 +19,7 @@ from repro.apps.orbslam import OrbPipeline
 from repro.apps.shwfs import ShwfsPipeline
 from repro.model.framework import Framework
 from repro.obs.report import TuneReport
-from repro.serve import ServeConfig, TuneRequest, serve_all
+from repro.serve import TuneRequest, serve_all
 from repro.soc.board import get_board
 
 PIPELINES = {"shwfs": ShwfsPipeline(), "orbslam": OrbPipeline()}
@@ -90,8 +90,7 @@ class TestSharedFramework:
         requests = zipf_batch(profiles)
         assert any(r.profile is not None for r in requests)
         serial = [serial_answer(warm, r) for r in requests]
-        answers = serve_all(requests, warm,
-                            ServeConfig(window_s=0.01, dispatch_workers=2))
+        answers = serve_all(requests, warm)
         assert [a.status for a in answers] == ["ok"] * len(requests)
         for answer, expected in zip(answers, serial):
             assert answer.report == expected
